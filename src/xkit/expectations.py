@@ -35,6 +35,7 @@ from .fields import (
     GaussianModel,
     GaussianisedModel,
     TFieldModel,
+    _LRUCache,
     component_seed,
     simulate_model,
 )
@@ -342,7 +343,9 @@ def _gmf_series_for(model: FieldModel, u: float, max_order: int) -> GMFSeries:
     raise TypeError(f"no marginal GMF path for {model!r}")
 
 
-_gaussianised_curve_cache: dict = {}
+# Keyed on the raw bytes of the level array, so callers that vary the levels or
+# the roughness add a key per request; the bound keeps that memory fixed.
+_gaussianised_curve_cache = _LRUCache(maxsize=32)
 
 
 def _gaussianised_curve_values(
@@ -359,26 +362,24 @@ def _gaussianised_curve_values(
         else model.base.cov.matrix.tobytes()
     )
     key = (model.name, cov, tuple(sim_shape), spacing, levels.tobytes(), reps)
-    cached = _gaussianised_curve_cache.get(key)
-    if cached is not None:
-        return cached.copy()
 
     def one(rep: int) -> np.ndarray:
         f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
         return ec_curve(f, levels).values
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            curves = list(pool.map(one, range(reps)))
-    else:
-        curves = [one(rep) for rep in range(reps)]
-    # ordered reduction: summation order is fixed by rep index regardless of jobs
-    total = np.zeros(levels.size)
-    for values in curves:
-        total += values
-    mean = total / reps
-    _gaussianised_curve_cache[key] = mean
-    return mean.copy()
+    def average() -> np.ndarray:
+        if jobs > 1:
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                curves = list(pool.map(one, range(reps)))
+        else:
+            curves = [one(rep) for rep in range(reps)]
+        # ordered reduction: summation order is fixed by rep index regardless of jobs
+        total = np.zeros(levels.size)
+        for values in curves:
+            total += values
+        return total / reps
+
+    return _gaussianised_curve_cache.get(key, average).copy()
 
 
 def _expected_values(
@@ -506,14 +507,30 @@ def _largest_stationary_index(values: np.ndarray) -> int:
     return int(flips[-1] + 1)
 
 
+# Critical variance sigma_c^2 = sup Var(f(s) | f(t), grad f(t)) / (1 - r)^2 of a
+# unit-variance squared-exponential field (Taylor, Takemura & Adler 2005).  With
+# x = lambda2 |s - t|^2 / 2 the ratio is (1 - e^(-2x) (1 + 2x)) / (1 - e^(-x))^2,
+# whose supremum 2 = lambda4 / lambda2^2 - 1 is approached as x -> 0; it does not
+# depend on lambda2, so the bound is invariant under a change of length units.
+_CRITICAL_VARIANCE = 2.0
+
+
+def _error_bound(model: FieldModel, u: float) -> float | None:
+    """``exp(-z^2 (1 + 1/sigma_c^2) / 2)`` at ``z = u / sigma``; isotropic Gaussians only."""
+    if not (isinstance(model, GaussianModel) and model.cov.isotropic):
+        return None
+    z = u / math.sqrt(model.cov.variance)
+    return math.exp(-0.5 * z * z * (1.0 + 1.0 / _CRITICAL_VARIANCE))
+
+
 def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
     """EC approximation of ``P(sup f >= u)`` plus an error bound when known.
 
     Returns ``(approx, bound)``; ``bound`` is available only for isotropic
     Gaussian models with the squared-exponential covariance, where the
-    critical-variance parameter is ``3*lambda2^2 - 1``.  Levels below the
-    expected-EC peak trigger a warning: there the heuristic does not
-    approximate the tail probability.
+    critical-variance parameter is ``lambda4/lambda2^2 - 1 = 2`` whatever
+    ``lambda2``.  Levels below the expected-EC peak trigger a warning: there
+    the heuristic does not approximate the tail probability.
     """
     grid, values = _scan_curve(model, domain)
     peak = grid[_largest_stationary_index(values)]
@@ -524,12 +541,7 @@ def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
             "approximation is unreliable there",
             stacklevel=2,
         )
-    bound = None
-    if isinstance(model, GaussianModel) and model.cov.isotropic:
-        sigma_c2 = 3.0 * model.cov.lambda2**2 - 1.0
-        z = u / math.sqrt(model.cov.variance)
-        bound = math.exp(-0.5 * z * z * (1.0 + 1.0 / sigma_c2))
-    return approx, bound
+    return approx, _error_bound(model, u)
 
 
 @dataclass(frozen=True)
@@ -616,12 +628,9 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
         raise NoSolutionError(
             f"bisection failed to reach |EEC - alpha| <= 1e-10 (last {eec_at:g})"
         )
-    bound = None
-    if isinstance(model, GaussianModel) and model.cov.isotropic:
-        sigma_c2 = 3.0 * model.cov.lambda2**2 - 1.0
-        z = u_star / math.sqrt(model.cov.variance)
-        bound = math.exp(-0.5 * z * z * (1.0 + 1.0 / sigma_c2))
-    return ThresholdResult(alpha=alpha, u_star=u_star, eec_at_u=eec_at, error_bound=bound)
+    return ThresholdResult(
+        alpha=alpha, u_star=u_star, eec_at_u=eec_at, error_bound=_error_bound(model, u_star)
+    )
 
 
 def identify_model(

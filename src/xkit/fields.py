@@ -4,7 +4,11 @@ Gaussian fields with squared-exponential covariance are drawn exactly by
 circulant embedding: the covariance is wrapped onto a torus large enough
 that its FFT (the eigenvalue array of the circulant covariance operator)
 is nonnegative, and one complex white-noise FFT then yields a field whose
-finite-dimensional distributions on the cropped grid are exact.
+finite-dimensional distributions on the cropped grid are exact.  The noise
+amplitude ``sqrt(eigenvalues / torus size)`` is cached, and the FFT runs
+one axis at a time, cropping each axis to the grid right after its own
+transform; the arithmetic is that of one ``fftn`` followed by the crop, so
+the seed-to-field mapping is unchanged, bit for bit.
 
 Gaussian-derived fields (chi-square, Student-T, F, and probability-integral
 "gaussianised" transforms) are built pointwise from independent Gaussian
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import math
 import struct
+import threading
 import warnings
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -295,30 +300,55 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
         sizes = [2 * m for m in sizes]
 
 
-class _SpectrumCache:
-    """Tiny LRU cache for embedding spectra (they are expensive and reusable)."""
+class _LRUCache:
+    """Least-recently-used map holding at most ``maxsize`` entries.
 
-    def __init__(self, maxsize: int = 8):
+    Safe to share between threads; a value is computed outside the lock, so
+    two threads missing on one key may both compute it.
+    """
+
+    def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self._store: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
 
-    def get(self, cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
-        if cov.matrix is not None:
-            cov_key = ("matrix", cov.variance, cov.matrix.tobytes())
-        else:
-            cov_key = ("iso", cov.variance, cov.lambda2)
-        key = (cov_key, shape, spacing)
-        if key in self._store:
-            self._store.move_to_end(key)
-            return self._store[key]
-        value = _torus_spectrum(cov, shape, spacing)
-        self._store[key] = value
-        if len(self._store) > self.maxsize:
-            self._store.popitem(last=False)
+    def get(self, key, compute):
+        """The value stored under ``key``, computed by ``compute()`` on a miss."""
+        with self._lock:
+            if key in self._store:
+                self._store.move_to_end(key)
+                return self._store[key]
+        value = compute()
+        with self._lock:
+            self._store[key] = value
+            if len(self._store) > self.maxsize:
+                self._store.popitem(last=False)
         return value
 
+    def clear(self) -> None:
+        with self._lock:
+            self._store.clear()
 
-_spectra = _SpectrumCache()
+    def __len__(self) -> int:
+        return len(self._store)
+
+
+# Embedding amplitudes are expensive to build and reused by every draw.
+_amplitudes = _LRUCache(maxsize=8)
+
+
+def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
+    """Torus sizes and the noise amplitude ``sqrt(lam / torus size)``, cached."""
+    if cov.matrix is not None:
+        cov_key = ("matrix", cov.variance, cov.matrix.tobytes())
+    else:
+        cov_key = ("iso", cov.variance, cov.lambda2)
+
+    def build():
+        sizes, lam = _torus_spectrum(cov, shape, spacing)
+        return sizes, np.sqrt(lam / float(np.prod(sizes)))
+
+    return _amplitudes.get((cov_key, shape, spacing), build)
 
 
 def simulate_gaussian(
@@ -327,10 +357,16 @@ def simulate_gaussian(
     """Draw one exact sample of a stationary Gaussian field on a grid.
 
     The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
-    produce a bit-identical field.  The grid must resolve the correlation
-    length (``spacing * sqrt(lambda_ii) <= 0.5`` on every axis with more
-    than one point); a grid much shorter than six correlation lengths per
-    axis triggers a warning because empirical statistics then mix poorly.
+    produce a bit-identical field: the real part of ``fftn((a + 1j*b) *
+    sqrt(lam / torus size))`` on the grid, where ``a`` and ``b`` are the
+    two blocks of one ``default_rng(seed).standard_normal`` draw.  The
+    amplitude is cached, and each axis is cropped to the grid right after
+    its own 1-D transform, so later axes transform only surviving lines.
+
+    The grid must resolve the correlation length (``spacing *
+    sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
+    much shorter than six correlation lengths per axis triggers a warning
+    because empirical statistics then mix poorly.
     """
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or any(n < 1 for n in shape):
@@ -355,14 +391,16 @@ def simulate_gaussian(
                 "be noisy",
                 stacklevel=2,
             )
-    sizes, lam = _spectra.get(cov, shape, spacing)
-    total = float(np.prod(sizes))
-    rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(sizes) + 1j * rng.standard_normal(sizes)
-    spectrum = np.sqrt(lam / total)
-    sample = sp_fft.fftn(noise * spectrum).real
-    crop = tuple(slice(0, n) for n in shape)
-    return LatticeField(values=sample[crop], spacing=spacing)
+    sizes, amplitude = _amplitude(cov, shape, spacing)
+    normals = np.random.default_rng(seed).standard_normal((2,) + sizes)
+    sample = np.empty(sizes, dtype=complex)
+    np.multiply(normals[0], amplitude, out=sample.real)
+    np.multiply(normals[1], amplitude, out=sample.imag)
+    # Axis by axis in fftn's order, so every line sees the same arithmetic.
+    for axis, n in enumerate(shape):
+        sample = sp_fft.fft(sample, axis=axis, overwrite_x=True)
+        sample = sample[(slice(None),) * axis + (slice(0, n),)]
+    return LatticeField(values=sample.real, spacing=spacing)
 
 
 def component_seed(seed: int, index: int) -> int:

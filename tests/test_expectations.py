@@ -481,15 +481,38 @@ def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
     np.testing.assert_array_equal(first.values, parallel.values)
 
 
+def test_gaussianised_curve_cache_is_bounded_and_hits_are_copies():
+    model, rect = _tiny_gaussianised()
+    cache = expectations_mod._gaussianised_curve_cache
+    cache.clear()
+    for i in range(cache.maxsize + 3):
+        levels = np.array([-1.0, 0.0, 1.0 + 0.01 * i])  # a new key each time
+        expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
+        assert len(cache) <= cache.maxsize
+    assert len(cache) == cache.maxsize
+    levels = np.array([-1.0, 0.0, 1.0])
+    expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
+    hit = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
+    kept = hit.values.copy()
+    hit.values[:] = 99.0  # a caller scribbling on its result
+    again = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
+    np.testing.assert_array_equal(again.values, kept)
+
+
 # ---------------------------------------------------------------------------
 # excursion probability
 # ---------------------------------------------------------------------------
 
 def test_error_bound_uses_squared_exponential_curvature():
-    # fourth covariance derivative at 0 is 3*lambda2^2, hence
-    # sigma_c^2 = 3*200^2 - 1 = 119999
+    # sigma_c^2 = sup Var(f(s) | f(t), grad f(t)) / (1 - r)^2; for
+    # r = exp(-x), x = lambda2 |s - t|^2 / 2, the ratio below does not involve
+    # lambda2 and tends to its supremum 2 = lambda4 / lambda2^2 - 1 as x -> 0
+    x = np.logspace(-4.0, 2.0, 2001)
+    ratio = (-np.expm1(-2.0 * x) - 2.0 * x * np.exp(-2.0 * x)) / np.expm1(-x) ** 2
+    assert ratio.max() <= 2.0
+    assert ratio.max() == pytest.approx(2.0, abs=1e-3)
     approx, bound = excursion_probability(GaussianModel(cov=COV200), SQUARE, 3.0)
-    assert bound == pytest.approx(math.exp(-0.5 * 9.0 * (1.0 + 1.0 / 119999.0)), rel=1e-15)
+    assert bound == pytest.approx(math.exp(-0.5 * 9.0 * (1.0 + 1.0 / 2.0)), rel=1e-15)
     assert approx == pytest.approx(expected_ec_gaussian_rectangle(SQUARE, 1.0, 200.0, 3.0))
 
 
@@ -541,8 +564,27 @@ def test_threshold_matches_independent_bisection():
     assert result.alpha == 0.05
     z2 = result.u_star**2
     assert result.error_bound == pytest.approx(
-        math.exp(-0.5 * z2 * (1.0 + 1.0 / 119999.0)), rel=1e-12
+        math.exp(-0.5 * z2 * (1.0 + 1.0 / 2.0)), rel=1e-12
     )
+
+
+def test_rescaled_domain_leaves_curve_threshold_and_bound_unchanged():
+    # sides x c with lambda2 / c^2 is the same field in other length units
+    levels = np.linspace(-3.0, 5.0, 17)
+    base = GaussianModel(cov=COV200)
+    base_curve = expected_ec_curve(base, SQUARE, levels).values
+    base_result = threshold(base, SQUARE, 0.05)
+    _, base_bound = excursion_probability(base, SQUARE, 4.0)
+    for c in (1.0, 2.0, 10.0):
+        model = GaussianModel(cov=CovarianceModel(variance=1.0, lambda2=200.0 / c**2))
+        rect = Rectangle((c, c))
+        curve = expected_ec_curve(model, rect, levels).values
+        np.testing.assert_allclose(curve, base_curve, rtol=1e-12, atol=0.0)
+        result = threshold(model, rect, 0.05)
+        assert result.u_star == pytest.approx(base_result.u_star, rel=1e-9)
+        assert result.error_bound == pytest.approx(base_result.error_bound, rel=1e-9)
+        _, bound = excursion_probability(model, rect, 4.0)
+        assert bound == pytest.approx(base_bound, rel=1e-9)
 
 
 def test_threshold_solver_consistency():

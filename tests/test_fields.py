@@ -7,9 +7,11 @@ moments, marginal laws) come straight from the covariance model.
 
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 from scipy import stats
 
 import xkit.fields as fields_mod
@@ -106,6 +108,42 @@ def test_simulation_is_bit_reproducible():
     assert a.values.tobytes() == b.values.tobytes()
     c = simulate_gaussian(COV200, (32, 32), 1 / 64, seed=10)
     assert not np.array_equal(a.values, c.values)
+
+
+def _plain_circulant_sample(cov, shape, spacing, seed):
+    # the sampler as first written: full complex white noise times the square
+    # root of the torus eigenvalues, one fftn, real part cropped to the grid
+    _, lam = fields_mod._torus_spectrum(cov, shape, spacing)
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(lam.shape)
+    b = rng.standard_normal(lam.shape)
+    crop = tuple(slice(0, n) for n in shape)
+    return sp_fft.fftn((a + 1j * b) * np.sqrt(lam / lam.size)).real[crop]
+
+
+def test_sampler_matches_plain_circulant_formula_bit_for_bit():
+    aniso = CovarianceModel(variance=1.0, matrix=np.array(
+        [[300.0, 50.0, 0.0], [50.0, 200.0, 20.0], [0.0, 20.0, 100.0]]
+    ))
+    cases = [
+        (COV200, (50,), 1 / 64, (128,)),  # 1-D
+        (COV20, (1,), 0.1, (1,)),  # single site
+        (COV200, (33, 20), 1 / 64, (64, 64)),  # 2-D, unequal sides
+        (COV20, (16, 16), 0.05, (64, 64)),  # embedding doubled once
+        (COV20, (16, 16), 0.03, (128, 128)),  # embedding doubled twice
+        (aniso, (12, 10, 9), 0.02, (128, 128, 64)),  # 3-D anisotropic
+        (COV200, (48, 1, 40), 1 / 64, (128, 1, 128)),  # a length-1 axis
+        (COV20, (20, 1, 7), 0.1, (128, 2, 32)),  # a length-1 axis padded to 2
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the doubled grids are short
+        for cov, shape, spacing, torus in cases:
+            sizes, _ = fields_mod._torus_spectrum(cov, shape, spacing)
+            assert sizes == torus
+            for seed in (0, 7, 12345, 2**63):
+                expected = _plain_circulant_sample(cov, shape, spacing, seed)
+                got = simulate_gaussian(cov, shape, spacing, seed).values
+                assert np.array_equal(got, expected), (shape, spacing, seed)
 
 
 def test_single_site_grid_gives_standard_normal_marginal():
