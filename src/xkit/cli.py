@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -229,12 +230,7 @@ def cmd_ec_curve(args) -> int:
     field = read_field(args.field)
     levels = parse_levels(args.levels)
     curve = ec_curve(field, levels)
-    curve = ECCurve(
-        levels=curve.levels,
-        values=curve.values,
-        kind=curve.kind,
-        meta={**curve.meta, "source": str(args.field), "levels": args.levels},
-    )
+    curve = replace(curve, meta={**curve.meta, "source": str(args.field), "levels": args.levels})
     _emit_curve(curve, args.out)
     return 0
 
@@ -253,12 +249,7 @@ def cmd_eec(args) -> int:
         sim_reps=args.sim_reps,
         jobs=_resolve_jobs(args),
     )
-    curve = ECCurve(
-        levels=curve.levels,
-        values=curve.values,
-        kind=curve.kind,
-        meta={**curve.meta, "levels": args.levels},
-    )
+    curve = replace(curve, meta={**curve.meta, "levels": args.levels})
     _emit_curve(curve, args.out)
     return 0
 

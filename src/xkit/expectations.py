@@ -23,18 +23,18 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import optimize, stats
 
 from .fields import (
     ChiSquaredModel,
-    FFieldModel,
     FieldModel,
     GaussianModel,
     GaussianisedModel,
     TFieldModel,
+    _cov_key,
     _LRUCache,
     component_seed,
     simulate_model,
@@ -131,12 +131,12 @@ def expected_lkc_isotropic(
     """
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    scaled = LKCVector(
-        np.array(
-            [lambda2 ** (k / 2.0) * lkcs_M[k] for k in range(lkcs_M.dim + 1)]
-        )
-    )
-    return expected_lkc_general(scaled, gmfs_D, i)
+    return expected_lkc_general(_isotropic_lkcs(lkcs_M, lambda2), gmfs_D, i)
+
+
+def _isotropic_lkcs(lkcs: LKCVector, lambda2: float) -> LKCVector:
+    """Curvatures in the metric of an isotropic field: ``lambda2^(k/2) L_k``."""
+    return LKCVector(np.array([lambda2 ** (k / 2.0) * lkcs[k] for k in range(lkcs.dim + 1)]))
 
 
 def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
@@ -174,16 +174,25 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
 # Gaussian rectangle closed forms
 # ---------------------------------------------------------------------------
 
-def _gaussian_rectangle_ec(lkcs_metric: LKCVector, z):
-    """EC closed form given metric LKCs: Psi(z) + sum_k L_k M_k(z)."""
+def _gaussian_kinematic_sum(lkcs: LKCVector, z, i: int):
+    """E L_i of ``{f >= u}`` at standardised levels ``z`` (scalar or array).
+
+    The kinematic sum with the Gaussian functionals written out, grouped as
+
+        flag(i, 0) L_i Psi(z)
+          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] H_(j-1)(z) e^(-z^2/2)
+
+    so that each level costs one Hermite polynomial per order and the order-0
+    curve is the rectangle closed form ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.
+    A scalar level gives a float.
+    """
     z = np.asarray(z, dtype=float)
-    acc = gaussian_tail(z)
+    acc = flag_coefficient(i, 0) * lkcs[i] * gaussian_tail(z)
     envelope = np.exp(-0.5 * z * z)
-    for k in range(1, lkcs_metric.dim + 1):
-        acc = acc + (
-            lkcs_metric[k] * TWO_PI ** (-(k + 1) / 2.0) * hermite(k - 1, z) * envelope
-        )
-    return acc
+    for j in range(1, lkcs.dim - i + 1):
+        coef = flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-(j + 1) / 2.0)
+        acc = acc + coef * hermite(j - 1, z) * envelope
+    return float(acc) if z.ndim == 0 else acc
 
 
 def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: float, u):
@@ -198,26 +207,14 @@ def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: floa
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    sigma = math.sqrt(sigma2)
-    unit_lambda2 = lambda2 / sigma2
-    plain = rectangle_lkcs(rect)
-    scaled = LKCVector(
-        np.array(
-            [unit_lambda2 ** (k / 2.0) * plain[k] for k in range(rect.dim + 1)]
-        )
-    )
-    z = np.asarray(u, dtype=float) / sigma
-    out = _gaussian_rectangle_ec(scaled, z)
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
+    scaled = _isotropic_lkcs(rectangle_lkcs(rect), lambda2 / sigma2)
+    return _gaussian_kinematic_sum(scaled, np.asarray(u, dtype=float) / math.sqrt(sigma2), 0)
 
 
 def expected_ec_stationary_rectangle(rect: Rectangle, spectral: np.ndarray, u):
     """Expected EC for a unit-variance stationary Gaussian field with
     spectral-moment matrix ``spectral`` (anisotropy allowed)."""
-    lkcs = metric_rectangle_lkcs(rect, spectral)
-    z = np.asarray(u, dtype=float)
-    out = _gaussian_rectangle_ec(lkcs, z)
-    return float(out) if np.isscalar(u) or np.ndim(u) == 0 else out
+    return _gaussian_kinematic_sum(metric_rectangle_lkcs(rect, spectral), u, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,39 +307,6 @@ def expected_lkc_high_level(
 # expected curves for field models
 # ---------------------------------------------------------------------------
 
-def _model_window(model: FieldModel) -> tuple[float, float]:
-    """(location, scale) of the marginal law, for level-scan windows."""
-    if isinstance(model, GaussianModel):
-        return 0.0, math.sqrt(model.cov.variance)
-    if isinstance(model, ChiSquaredModel):
-        if model.standardized:
-            return 0.0, 1.0
-        return float(model.k), math.sqrt(2.0 * model.k)
-    if isinstance(model, TFieldModel):
-        df = model.k - 1
-        return 0.0, math.sqrt(df / (df - 2.0)) if df > 2 else 2.0
-    if isinstance(model, FFieldModel):
-        spread = stats.f(model.n, model.m).std() if model.m > 4 else 3.0
-        return 1.0, max(1.0, float(spread))
-    if isinstance(model, GaussianisedModel):
-        return 0.0, 1.0
-    raise TypeError(f"unknown field model {model!r}")
-
-
-def _gmf_series_for(model: FieldModel, u: float, max_order: int) -> GMFSeries:
-    """Marginal-law Minkowski functionals of ``[u, inf)`` for one level."""
-    if isinstance(model, ChiSquaredModel):
-        raw = model.k + u * math.sqrt(2.0 * model.k) if model.standardized else u
-        return chi2_gmf(raw, model.k, max_order)
-    if isinstance(model, TFieldModel):
-        density = stats.t(model.k - 1).pdf
-        return density_derivative_gmf(density, u, max_order, k=model.k)
-    if isinstance(model, FFieldModel):
-        density = stats.f(model.n, model.m).pdf
-        return density_derivative_gmf(density, u, max_order, k=model.n + model.m)
-    raise TypeError(f"no marginal GMF path for {model!r}")
-
-
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
 # the roughness add a key per request; the bound keeps that memory fixed.
 _gaussianised_curve_cache = _LRUCache(maxsize=32)
@@ -350,18 +314,32 @@ _gaussianised_curve_cache = _LRUCache(maxsize=32)
 
 def _gaussianised_curve_values(
     model: GaussianisedModel,
+    rect: Rectangle,
     levels: np.ndarray,
-    sim_shape: tuple[int, ...],
-    spacing: float,
+    sim_shape: tuple[int, ...] | None,
     reps: int,
     jobs: int,
 ) -> np.ndarray:
-    cov = (
-        model.base.cov.lambda2
-        if model.base.cov.matrix is None
-        else model.base.cov.matrix.tobytes()
-    )
-    key = (model.name, cov, tuple(sim_shape), spacing, levels.tobytes(), reps)
+    dim = rect.dim
+    if sim_shape is None:
+        raise ValueError(
+            "a gaussianised expected curve needs sim_shape (its curve is a "
+            "lattice simulation average)"
+        )
+    sim_shape = tuple(int(n) for n in sim_shape)
+    if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
+        raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
+    spacings = [rect.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
+    if max(spacings) - min(spacings) > 1e-9 * max(spacings):
+        raise ValueError(
+            f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
+            f"rectangle {rect.sides}; lattice fields use one spacing"
+        )
+    spacing = spacings[0]
+    # The repr names the base class and every field of the base model (the
+    # chi-square ``standardized`` flag among them); a spectral matrix, which the
+    # repr omits, enters through its bytes.
+    key = (repr(model), _cov_key(model.cov), sim_shape, spacing, levels.tobytes(), reps)
 
     def one(rep: int) -> np.ndarray:
         f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
@@ -391,55 +369,43 @@ def _expected_values(
     sim_reps: int,
     jobs: int,
 ) -> np.ndarray:
+    """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
+
+    Gaussian fields take the vectorised kinematic sum; chi-square, T and F
+    fields the per-level sum over the Minkowski functionals of their marginal
+    hitting sets; gaussianised fields a cached simulation average.
+    """
     dim = rect.dim
     if not 0 <= order <= dim:
         raise ValueError(f"order must lie in 0..{dim}, got {order}")
-
-    if isinstance(model, GaussianModel):
-        sigma = math.sqrt(model.cov.variance)
-        spectral = model.cov.spectral_matrix(dim)
-        z = levels / sigma
-        if order == 0:
-            return np.asarray(expected_ec_stationary_rectangle(rect, spectral, z))
-        lkcs = metric_rectangle_lkcs(rect, spectral)
-        return np.array(
-            [expected_lkc_general(lkcs, gaussian_gmf(zz, dim - order), order) for zz in z]
-        )
-
-    if isinstance(model, (ChiSquaredModel, TFieldModel, FFieldModel)):
-        lkcs = metric_rectangle_lkcs(rect, model.cov.spectral_matrix(dim))
-        return np.array(
-            [
-                expected_lkc_general(lkcs, _gmf_series_for(model, u, dim - order), order)
-                for u in levels
-            ]
-        )
-
     if isinstance(model, GaussianisedModel):
         if order != 0:
             raise CapabilityError(
                 "expected curvatures of gaussianised fields are only available "
                 "for order 0 (EC), via simulation averaging"
             )
-        if sim_shape is None:
-            raise ValueError(
-                "a gaussianised expected curve needs sim_shape (its curve is a "
-                "lattice simulation average)"
-            )
-        sim_shape = tuple(int(n) for n in sim_shape)
-        if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
-            raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
-        spacings = [rect.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
-        if max(spacings) - min(spacings) > 1e-9 * max(spacings):
-            raise ValueError(
-                f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
-                f"rectangle {rect.sides}; lattice fields use one spacing"
-            )
-        return _gaussianised_curve_values(
-            model, levels, sim_shape, spacings[0], sim_reps, jobs
-        )
+        return _gaussianised_curve_values(model, rect, levels, sim_shape, sim_reps, jobs)
 
-    raise TypeError(f"unknown field model {model!r}")
+    lkcs = metric_rectangle_lkcs(rect, model.cov.spectral_matrix(dim))
+    if isinstance(model, GaussianModel):
+        return _gaussian_kinematic_sum(lkcs, levels / math.sqrt(model.cov.variance), order)
+
+    needed = dim - order
+    if isinstance(model, ChiSquaredModel):
+        def series(u: float) -> GMFSeries:
+            raw = model.k + u * math.sqrt(2.0 * model.k) if model.standardized else u
+            return chi2_gmf(raw, model.k, needed)
+    else:
+        # T and F fields: numerical derivatives of the marginal density
+        if isinstance(model, TFieldModel):
+            density, k = stats.t(model.k - 1).pdf, model.k
+        else:
+            density, k = stats.f(model.n, model.m).pdf, model.n + model.m
+
+        def series(u: float) -> GMFSeries:
+            return density_derivative_gmf(density, u, needed, k=k)
+
+    return np.array([expected_lkc_general(lkcs, series(u), order) for u in levels])
 
 
 def expected_ec_curve(
@@ -470,7 +436,7 @@ def expected_ec_curve(
         "domain": "x".join(repr(s) for s in domain.sides),
         "order": str(order),
     }
-    cov = getattr(model, "cov", None) or model.base.cov
+    cov = model.cov
     if cov.matrix is None:
         meta["lambda2"] = repr(cov.lambda2)
     else:
@@ -490,7 +456,7 @@ def expected_ec_curve(
 # ---------------------------------------------------------------------------
 
 def _scan_curve(model: FieldModel, domain: Rectangle):
-    loc, scale = _model_window(model)
+    loc, scale = model._window()
     step = 0.01 * max(1.0, scale)
     grid = np.arange(0.0, loc + 20.0 * scale + step, step)
     values = _expected_values(model, domain, grid, 0, None, 0, 1)
@@ -554,12 +520,7 @@ class ThresholdResult:
     error_bound: float | None
 
     def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "u_star": self.u_star,
-            "eec_at_u": self.eec_at_u,
-            "error_bound": self.error_bound,
-        }
+        return asdict(self)
 
     def as_text(self) -> str:
         bound = "unavailable" if self.error_bound is None else f"{self.error_bound:.17g}"
@@ -575,9 +536,9 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
     """Find the level whose expected EC equals ``alpha`` (tail calibration).
 
     The scan locates the final stationary point of the expected-EC curve;
-    bisection then runs on the decreasing branch to ``|EEC - alpha| <=
-    1e-10``.  ``alpha`` at or above the bracket-start EC has no solution on
-    that branch and raises :class:`NoSolutionError`.
+    Brent's method then solves on the decreasing branch, and a root whose
+    ``|EEC - alpha|`` exceeds ``1e-10`` raises :class:`NoSolutionError`, as
+    does ``alpha`` at or above the bracket-start EC.
     """
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
@@ -599,7 +560,7 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
     def eec(x: float) -> float:
         return float(_expected_values(model, domain, np.array([x]), 0, None, 0, 1)[0])
 
-    _, scale = _model_window(model)
+    _, scale = model._window()
     right = peak_u + max(1.0, scale)
     while eec(right) >= alpha:
         right = peak_u + 2.0 * (right - peak_u)
@@ -614,19 +575,9 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
         )
     )
     eec_at = eec(u_star)
-    lo, hi = peak_u, right
-    for _ in range(200):
-        if abs(eec_at - alpha) <= 1e-10:
-            break
-        if eec_at > alpha:
-            lo = u_star
-        else:
-            hi = u_star
-        u_star = 0.5 * (lo + hi)
-        eec_at = eec(u_star)
-    else:
+    if abs(eec_at - alpha) > 1e-10:
         raise NoSolutionError(
-            f"bisection failed to reach |EEC - alpha| <= 1e-10 (last {eec_at:g})"
+            f"root finding failed to reach |EEC - alpha| <= 1e-10 (last {eec_at:g})"
         )
     return ThresholdResult(
         alpha=alpha, u_star=u_star, eec_at_u=eec_at, error_bound=_error_bound(model, u_star)

@@ -126,6 +126,10 @@ def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
     return cov if cov.variance == 1.0 else replace(cov, variance=1.0)
 
 
+# Each model class carries the facts that depend only on the model: how a field
+# is built from Gaussian components (``_simulate``) and the (location, scale) of
+# its marginal law, which sets level-scan windows (``_window``).
+
 @dataclass(frozen=True)
 class GaussianModel:
     """Stationary mean-zero Gaussian field."""
@@ -135,6 +139,12 @@ class GaussianModel:
     @property
     def name(self) -> str:
         return "gaussian"
+
+    def _window(self) -> tuple[float, float]:
+        return 0.0, math.sqrt(self.cov.variance)
+
+    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+        return simulate_gaussian(self.cov, shape, spacing, seed)
 
 
 @dataclass(frozen=True)
@@ -159,6 +169,17 @@ class ChiSquaredModel:
     def name(self) -> str:
         return f"chisq:{self.k}"
 
+    def _window(self) -> tuple[float, float]:
+        if self.standardized:
+            return 0.0, 1.0
+        return float(self.k), math.sqrt(2.0 * self.k)
+
+    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+        values = _sum_of_squares(_component_fields(self.cov, self.k, shape, spacing, seed))
+        if self.standardized:
+            values = (values - self.k) / math.sqrt(2.0 * self.k)
+        return LatticeField(values=values, spacing=spacing)
+
 
 @dataclass(frozen=True)
 class TFieldModel:
@@ -175,6 +196,18 @@ class TFieldModel:
     @property
     def name(self) -> str:
         return f"t:{self.k}"
+
+    def _window(self) -> tuple[float, float]:
+        df = self.k - 1
+        return 0.0, math.sqrt(df / (df - 2.0)) if df > 2 else 2.0
+
+    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+        comps = _component_fields(self.cov, self.k, shape, spacing, seed)
+        denom = _sum_of_squares(comps[1:])
+        if np.any(denom == 0.0):
+            raise SimulationError("T-field denominator vanished at a grid site")
+        values = comps[0] * math.sqrt(self.k - 1.0) / np.sqrt(denom)
+        return LatticeField(values=values, spacing=spacing)
 
 
 @dataclass(frozen=True)
@@ -193,6 +226,19 @@ class FFieldModel:
     @property
     def name(self) -> str:
         return f"f:{self.n}:{self.m}"
+
+    def _window(self) -> tuple[float, float]:
+        spread = stats.f(self.n, self.m).std() if self.m > 4 else 3.0
+        return 1.0, max(1.0, float(spread))
+
+    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+        comps = _component_fields(self.cov, self.n + self.m, shape, spacing, seed)
+        num = _sum_of_squares(comps[: self.n])
+        den = _sum_of_squares(comps[self.n :])
+        if np.any(den == 0.0):
+            raise SimulationError("F-field denominator vanished at a grid site")
+        values = (self.m * num) / (self.n * den)
+        return LatticeField(values=values, spacing=spacing)
 
 
 @dataclass(frozen=True)
@@ -213,6 +259,20 @@ class GaussianisedModel:
     @property
     def name(self) -> str:
         return f"gaussianised-{self.base.name}"
+
+    @property
+    def cov(self) -> CovarianceModel:
+        """Covariance of the base field's Gaussian components."""
+        return self.base.cov
+
+    def _window(self) -> tuple[float, float]:
+        return 0.0, 1.0
+
+    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+        base = simulate_model(self.base, shape, spacing, seed)
+        if isinstance(self.base, ChiSquaredModel) and not self.base.standardized:
+            return gaussianise(base, mode="exact-chi2", k=self.base.k)
+        return gaussianise(base, mode="empirical")
 
 
 FieldModel = (
@@ -337,18 +397,21 @@ class _LRUCache:
 _amplitudes = _LRUCache(maxsize=8)
 
 
+def _cov_key(cov: CovarianceModel) -> tuple:
+    """A hashable key that tells covariance models apart (matrices by bytes)."""
+    if cov.matrix is not None:
+        return ("matrix", cov.variance, cov.matrix.tobytes())
+    return ("iso", cov.variance, cov.lambda2)
+
+
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     """Torus sizes and the noise amplitude ``sqrt(lam / torus size)``, cached."""
-    if cov.matrix is not None:
-        cov_key = ("matrix", cov.variance, cov.matrix.tobytes())
-    else:
-        cov_key = ("iso", cov.variance, cov.lambda2)
 
     def build():
         sizes, lam = _torus_spectrum(cov, shape, spacing)
         return sizes, np.sqrt(lam / float(np.prod(sizes)))
 
-    return _amplitudes.get((cov_key, shape, spacing), build)
+    return _amplitudes.get((_cov_key(cov), shape, spacing), build)
 
 
 def simulate_gaussian(
@@ -417,11 +480,17 @@ def component_seed(seed: int, index: int) -> int:
 def _component_fields(
     cov: CovarianceModel, count: int, shape, spacing: float, seed: int
 ) -> list[np.ndarray]:
-    cov1 = _unit_variance(cov)
     return [
-        simulate_gaussian(cov1, shape, spacing, component_seed(seed, i)).values
+        simulate_gaussian(cov, shape, spacing, component_seed(seed, i)).values
         for i in range(count)
     ]
+
+
+def _sum_of_squares(comps: list[np.ndarray]) -> np.ndarray:
+    total = np.zeros(comps[0].shape)
+    for c in comps:
+        total += c * c
+    return total
 
 
 def simulate_model(
@@ -433,43 +502,7 @@ def simulate_model(
     :func:`component_seed`, so e.g. a chi-square field equals the pointwise
     sum of squares of its components exactly, not just in distribution.
     """
-    if isinstance(model, GaussianModel):
-        return simulate_gaussian(model.cov, shape, spacing, seed)
-    if isinstance(model, ChiSquaredModel):
-        comps = _component_fields(model.cov, model.k, shape, spacing, seed)
-        values = np.zeros(comps[0].shape)
-        for c in comps:
-            values += c * c
-        if model.standardized:
-            values = (values - model.k) / math.sqrt(2.0 * model.k)
-        return LatticeField(values=values, spacing=spacing)
-    if isinstance(model, TFieldModel):
-        comps = _component_fields(model.cov, model.k, shape, spacing, seed)
-        denom = np.zeros(comps[0].shape)
-        for c in comps[1:]:
-            denom += c * c
-        if np.any(denom == 0.0):
-            raise SimulationError("T-field denominator vanished at a grid site")
-        values = comps[0] * math.sqrt(model.k - 1.0) / np.sqrt(denom)
-        return LatticeField(values=values, spacing=spacing)
-    if isinstance(model, FFieldModel):
-        comps = _component_fields(model.cov, model.n + model.m, shape, spacing, seed)
-        num = np.zeros(comps[0].shape)
-        den = np.zeros(comps[0].shape)
-        for c in comps[: model.n]:
-            num += c * c
-        for c in comps[model.n :]:
-            den += c * c
-        if np.any(den == 0.0):
-            raise SimulationError("F-field denominator vanished at a grid site")
-        values = (model.m * num) / (model.n * den)
-        return LatticeField(values=values, spacing=spacing)
-    if isinstance(model, GaussianisedModel):
-        base = simulate_model(model.base, shape, spacing, seed)
-        if isinstance(model.base, ChiSquaredModel) and not model.base.standardized:
-            return gaussianise(base, mode="exact-chi2", k=model.base.k)
-        return gaussianise(base, mode="empirical")
-    raise TypeError(f"unknown field model {model!r}")
+    return model._simulate(shape, spacing, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -77,24 +77,33 @@ def _reduce_along(arr: np.ndarray, axis: int, op) -> np.ndarray:
     return op(arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)])
 
 
+def _corner_reductions(arr: np.ndarray, op):
+    """Yield ``(bits, reduced)`` for every axis subset ``bits``, the full set last.
+
+    ``reduced`` combines, by the binary ``op``, the ``2^|bits|`` corners of
+    each face spanning the axes in ``bits`` (``np.logical_and`` on a mask:
+    the face is present; ``np.minimum`` on values: the level where it
+    appears).  Subsets are enumerated by bitmask and reuse the reduction of
+    their largest proper prefix.
+    """
+    reduced = {0: arr}
+    for bits in range(1 << arr.ndim):
+        if bits:
+            low = bits & -bits
+            reduced[bits] = _reduce_along(reduced[bits ^ low], low.bit_length() - 1, op)
+        yield bits, reduced[bits]
+
+
 def face_counts(mask: np.ndarray) -> np.ndarray:
     """Counts ``(N_0, ..., N_dim)`` of k-faces present in the closed complex.
 
     A k-face spanning axis subset ``S`` is present when the boolean AND over
-    its corners is true; subsets are enumerated by bitmask and reuse the
-    reduction of their largest proper prefix.
+    its corners is true.
     """
     mask = _check_mask(mask)
-    dim = mask.ndim
-    counts = np.zeros(dim + 1, dtype=np.int64)
-    reduced = {0: mask}
-    counts[0] = int(mask.sum())
-    for bits in range(1, 1 << dim):
-        low = bits & -bits
-        axis = low.bit_length() - 1
-        arr = _reduce_along(reduced[bits ^ low], axis, np.logical_and)
-        reduced[bits] = arr
-        counts[bits.bit_count()] += int(arr.sum())
+    counts = np.zeros(mask.ndim + 1, dtype=np.int64)
+    for bits, present in _corner_reductions(mask, np.logical_and):
+        counts[bits.bit_count()] += int(present.sum())
     return counts
 
 
@@ -174,13 +183,8 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     if not 1 <= values.ndim <= _MAX_DIM:
         raise ValueError(f"unsupported dimension {values.ndim}")
     chi = np.zeros(levels.size, dtype=np.int64)
-    minima = {0: values}
-    for bits in range(1 << values.ndim):
-        if bits:
-            low = bits & -bits
-            axis = low.bit_length() - 1
-            minima[bits] = _reduce_along(minima[bits ^ low], axis, np.minimum)
-        flat = np.sort(minima[bits], axis=None)
+    for bits, minima in _corner_reductions(values, np.minimum):
+        flat = np.sort(minima, axis=None)
         # number of faces with corner-minimum >= u
         present = flat.size - np.searchsorted(flat, levels, side="left")
         chi += (-1) ** bits.bit_count() * present
@@ -202,20 +206,11 @@ def geometric_measures(mask: np.ndarray, spacing: float) -> LKCVector:
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be positive, got {spacing}")
     dim = mask.ndim
-    cells = mask
-    for axis in range(dim):
-        cells = _reduce_along(cells, axis, np.logical_and)
+    *_, (_, cells) = _corner_reductions(mask, np.logical_and)
     n_cells = int(cells.sum())
     boundary = 0
     for axis in range(dim):
-        padded = np.concatenate(
-            [
-                np.zeros_like(np.take(cells, [0], axis=axis)),
-                cells,
-                np.zeros_like(np.take(cells, [0], axis=axis)),
-            ],
-            axis=axis,
-        )
+        padded = np.pad(cells, [(1, 1) if a == axis else (0, 0) for a in range(dim)])
         boundary += int(_reduce_along(padded, axis, np.logical_xor).sum())
     out = np.full(dim + 1, np.nan)
     out[dim] = spacing ** dim * n_cells

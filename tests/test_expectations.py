@@ -134,6 +134,35 @@ def test_order_one_gaussian_curve_hand_formula():
     np.testing.assert_allclose(curve.values, hand, rtol=1e-12)
 
 
+def test_gaussian_curve_every_order_matches_per_level_kinematic_sum():
+    # the vectorised Gaussian sum against the generic route, one level at a
+    # time: metric LKCs with the Gaussian functionals of [z, inf), z = u / sigma
+    levels = np.linspace(-4.0, 6.0, 41)
+    matrices = {
+        1: np.array([[90.0]]),
+        2: np.array([[100.0, 20.0], [20.0, 60.0]]),
+        3: np.array([[100.0, 10.0, 0.0], [10.0, 80.0, 5.0], [0.0, 5.0, 60.0]]),
+    }
+    for rect in (Rectangle((1.3,)), Rectangle((1.0, 0.7)), Rectangle((1.0, 0.8, 1.2))):
+        dim = rect.dim
+        covs = [
+            COV200,
+            CovarianceModel(variance=1.0, matrix=matrices[dim]),
+            CovarianceModel(variance=4.0, lambda2=50.0),
+            CovarianceModel(variance=0.5, matrix=matrices[dim]),
+        ]
+        for cov in covs:
+            lkcs = metric_rectangle_lkcs(rect, cov.spectral_matrix(dim))
+            z = levels / math.sqrt(cov.variance)
+            for i in range(dim + 1):
+                curve = expected_ec_curve(GaussianModel(cov=cov), rect, levels, order=i)
+                per_level = np.array(
+                    [expected_lkc_general(lkcs, gaussian_gmf(zz, dim - i), i) for zz in z]
+                )
+                gap = np.abs(curve.values - per_level).max()
+                assert gap <= 1e-12 * np.abs(per_level).max(), (dim, cov, i, gap)
+
+
 def test_kinematic_sum_argument_errors():
     lkcs = rectangle_lkcs(SQUARE)
     with pytest.raises(ValueError, match="order i"):
@@ -497,6 +526,32 @@ def test_gaussianised_curve_cache_is_bounded_and_hits_are_copies():
     hit.values[:] = 99.0  # a caller scribbling on its result
     again = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
     np.testing.assert_array_equal(again.values, kept)
+
+
+def test_gaussianised_curve_cache_tells_standardized_chi_square_apart():
+    # the plain and the standardized chi-square share a name, but only the
+    # plain one is gaussianised through its exact CDF; a warm cache must not
+    # hand either the other's curve, whatever the order of the requests
+    cov = CovarianceModel(variance=1.0, lambda2=100.0)
+    plain = GaussianisedModel(ChiSquaredModel(k=3, cov=cov))
+    standard = GaussianisedModel(ChiSquaredModel(k=3, cov=cov, standardized=True))
+    rect = Rectangle((1.6, 1.6))
+    levels = np.linspace(-3.0, 3.0, 25)
+    cache = expectations_mod._gaussianised_curve_cache
+
+    def curve(model):
+        return expected_ec_curve(model, rect, levels, sim_shape=(33, 33), sim_reps=3).values
+
+    fresh = []
+    for model in (plain, standard):
+        cache.clear()
+        fresh.append(curve(model))
+    assert not np.array_equal(fresh[0], fresh[1])
+    for first, second, wanted in ((plain, standard, fresh[1]), (standard, plain, fresh[0])):
+        cache.clear()
+        curve(first)
+        np.testing.assert_array_equal(curve(second), wanted)
+    cache.clear()
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,13 @@ def test_stationarity_of_lag_moments_across_blocks():
     spread = block_lag.std(ddof=1)
     assert np.abs(block_lag - block_lag.mean()).max() <= 4.0 * spread
     expected = math.exp(-2000.0 * (1 / 256) ** 2 / 2.0)
-    assert abs(block_lag.mean() - expected) <= 3.0 * spread / math.sqrt(block_lag.size)
+    # A t statistic on 16 correlated blocks whose null is skewed: over seeds
+    # 0-2999 of the exact sampler its 0.1% and 99.9% quantiles are -4.58 and
+    # +3.29, so this cut fails a correct field about 0.2% of the time.  It
+    # checks the lag covariance, which moves with the variance far more than
+    # with lambda2.
+    t = (block_lag.mean() - expected) / (spread / math.sqrt(block_lag.size))
+    assert -4.6 <= t <= 3.3
 
 
 def test_resolution_guard_and_shape_validation():
