@@ -362,7 +362,7 @@ def _gaussianised_curve_values(
 
 def _expected_values(
     model: FieldModel,
-    rect: Rectangle,
+    rect: Rectangle | LKCVector,
     levels: np.ndarray,
     order: int,
     sim_shape: tuple[int, ...] | None,
@@ -373,7 +373,10 @@ def _expected_values(
 
     Gaussian fields take the vectorised kinematic sum; chi-square, T and F
     fields the per-level sum over the Minkowski functionals of their marginal
-    hitting sets; gaussianised fields a cached simulation average.
+    hitting sets; gaussianised fields a cached simulation average.  For the
+    closed-form routes ``rect`` may be the domain's curvatures already in the
+    model's metric (see :func:`_metric_lkcs`), so that a root finder pays for
+    them once rather than per level.
     """
     dim = rect.dim
     if not 0 <= order <= dim:
@@ -386,7 +389,7 @@ def _expected_values(
             )
         return _gaussianised_curve_values(model, rect, levels, sim_shape, sim_reps, jobs)
 
-    lkcs = metric_rectangle_lkcs(rect, model.cov.spectral_matrix(dim))
+    lkcs = _metric_lkcs(model, rect) if isinstance(rect, Rectangle) else rect
     if isinstance(model, GaussianModel):
         return _gaussian_kinematic_sum(lkcs, levels / math.sqrt(model.cov.variance), order)
 
@@ -455,7 +458,12 @@ def expected_ec_curve(
 # tail probability, threshold, identification
 # ---------------------------------------------------------------------------
 
-def _scan_curve(model: FieldModel, domain: Rectangle):
+def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
+    """The domain's Lipschitz-Killing curvatures in the metric of the model's field."""
+    return metric_rectangle_lkcs(domain, model.cov.spectral_matrix(domain.dim))
+
+
+def _scan_curve(model: FieldModel, domain: Rectangle | LKCVector):
     loc, scale = model._window()
     step = 0.01 * max(1.0, scale)
     grid = np.arange(0.0, loc + 20.0 * scale + step, step)
@@ -498,9 +506,10 @@ def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
     ``lambda2``.  Levels below the expected-EC peak trigger a warning: there
     the heuristic does not approximate the tail probability.
     """
-    grid, values = _scan_curve(model, domain)
+    lkcs = _metric_lkcs(model, domain)
+    grid, values = _scan_curve(model, lkcs)
     peak = grid[_largest_stationary_index(values)]
-    approx = float(_expected_values(model, domain, np.array([u]), 0, None, 0, 1)[0])
+    approx = float(_expected_values(model, lkcs, np.array([u]), 0, None, 0, 1)[0])
     if u < peak:
         warnings.warn(
             f"level {u:g} is below the expected-EC peak ({peak:g}); the tail "
@@ -547,7 +556,8 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
             "threshold solving needs a deterministic expected-EC evaluator; "
             "gaussianised curves are simulation averages"
         )
-    grid, values = _scan_curve(model, domain)
+    lkcs = _metric_lkcs(model, domain)
+    grid, values = _scan_curve(model, lkcs)
     peak_idx = _largest_stationary_index(values)
     peak_u = float(grid[peak_idx])
     peak_value = float(values[peak_idx])
@@ -558,7 +568,7 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
         )
 
     def eec(x: float) -> float:
-        return float(_expected_values(model, domain, np.array([x]), 0, None, 0, 1)[0])
+        return float(_expected_values(model, lkcs, np.array([x]), 0, None, 0, 1)[0])
 
     _, scale = model._window()
     right = peak_u + max(1.0, scale)

@@ -7,13 +7,18 @@ is nonnegative, and one complex white-noise FFT then yields a field whose
 finite-dimensional distributions on the cropped grid are exact.  The noise
 amplitude ``sqrt(eigenvalues / torus size)`` is cached, and the FFT runs
 one axis at a time, cropping each axis to the grid right after its own
-transform; the arithmetic is that of one ``fftn`` followed by the crop, so
-the seed-to-field mapping is unchanged, bit for bit.
+transform; the arithmetic is that of one ``fftn`` followed by the crop, bit
+for bit.
 
-Gaussian-derived fields (chi-square, Student-T, F, and probability-integral
-"gaussianised" transforms) are built pointwise from independent Gaussian
-component fields with deterministically derived seeds, so every simulation
-is bit-reproducible from ``(model, shape, spacing, seed)``.
+A Gaussian field is the real part of that FFT.  Because the eigenvalues
+are even (they are the FFT of a real array), its imaginary part is a second
+exact sample, independent of the first.  Gaussian-derived fields
+(chi-square, Student-T, F, and probability-integral "gaussianised"
+transforms) are built pointwise from independent Gaussian components taken
+in pairs: components ``2m`` and ``2m + 1`` are the real and imaginary parts
+of the draw seeded ``component_seed(seed, m)``, so ``k`` components cost
+``ceil(k / 2)`` FFTs.  Every simulation is bit-reproducible from ``(model,
+shape, spacing, seed)``.
 """
 
 from __future__ import annotations
@@ -414,22 +419,15 @@ def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     return _amplitudes.get((_cov_key(cov), shape, spacing), build)
 
 
-def simulate_gaussian(
+def _circulant_draw(
     cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int
-) -> LatticeField:
-    """Draw one exact sample of a stationary Gaussian field on a grid.
+) -> np.ndarray:
+    """The complex draw whose real part :func:`simulate_gaussian` returns.
 
-    The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
-    produce a bit-identical field: the real part of ``fftn((a + 1j*b) *
-    sqrt(lam / torus size))`` on the grid, where ``a`` and ``b`` are the
-    two blocks of one ``default_rng(seed).standard_normal`` draw.  The
-    amplitude is cached, and each axis is cropped to the grid right after
-    its own 1-D transform, so later axes transform only surviving lines.
-
-    The grid must resolve the correlation length (``spacing *
-    sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
-    much shorter than six correlation lengths per axis triggers a warning
-    because empirical statistics then mix poorly.
+    Its real and imaginary parts are independent exact samples, because
+    ``lam`` is even.  The amplitude is cached, and each axis is cropped to
+    the grid right after its own 1-D transform, so later axes transform only
+    surviving lines.
     """
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or any(n < 1 for n in shape):
@@ -452,7 +450,7 @@ def simulate_gaussian(
                 f"grid extent {(n - 1) * spacing:.4g} on axis {axis} is below six "
                 f"correlation lengths ({6.0 / scale:.4g}); spatial averages will "
                 "be noisy",
-                stacklevel=2,
+                stacklevel=3,
             )
     sizes, amplitude = _amplitude(cov, shape, spacing)
     normals = np.random.default_rng(seed).standard_normal((2,) + sizes)
@@ -463,15 +461,36 @@ def simulate_gaussian(
     for axis, n in enumerate(shape):
         sample = sp_fft.fft(sample, axis=axis, overwrite_x=True)
         sample = sample[(slice(None),) * axis + (slice(0, n),)]
-    return LatticeField(values=sample.real, spacing=spacing)
+    return sample
+
+
+def simulate_gaussian(
+    cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int
+) -> LatticeField:
+    """Draw one exact sample of a stationary Gaussian field on a grid.
+
+    The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
+    produce a bit-identical field: the real part of ``fftn((a + 1j*b) *
+    sqrt(lam / torus size))`` on the grid, where ``a`` and ``b`` are the
+    two blocks of one ``default_rng(seed).standard_normal`` draw.
+
+    The grid must resolve the correlation length (``spacing *
+    sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
+    much shorter than six correlation lengths per axis triggers a warning
+    because empirical statistics then mix poorly.
+    """
+    return LatticeField(values=_circulant_draw(cov, shape, spacing, seed).real, spacing=spacing)
 
 
 def component_seed(seed: int, index: int) -> int:
-    """Derived seed for component ``index`` of a multi-component construction.
+    """Derived seed number ``index`` of a construction that needs several draws.
 
     Defined as the first 64-bit word of ``numpy.random.SeedSequence([seed,
-    index])``, which numpy documents as stable across releases.  Kept public
-    so that consumers can reproduce individual components.
+    index])``, which numpy documents as stable across releases.  A
+    multi-component model seeds its complex draw ``m`` with
+    ``component_seed(seed, m)``; that draw's real and imaginary parts are
+    components ``2m`` and ``2m + 1``.  Kept public so that consumers can
+    reproduce individual components.
     """
     ss = np.random.SeedSequence([int(seed), int(index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -480,10 +499,15 @@ def component_seed(seed: int, index: int) -> int:
 def _component_fields(
     cov: CovarianceModel, count: int, shape, spacing: float, seed: int
 ) -> list[np.ndarray]:
-    return [
-        simulate_gaussian(cov, shape, spacing, component_seed(seed, i)).values
-        for i in range(count)
-    ]
+    comps: list[np.ndarray] = []
+    for m in range((count + 1) // 2):
+        draw = _circulant_draw(cov, shape, spacing, component_seed(seed, m))
+        comps.append(draw.real.copy())
+        if len(comps) < count:
+            comps.append(draw.imag.copy())
+        # release this pair's buffer before the next draw allocates its own
+        del draw
+    return comps
 
 
 def _sum_of_squares(comps: list[np.ndarray]) -> np.ndarray:
@@ -498,9 +522,13 @@ def simulate_model(
 ) -> LatticeField:
     """Simulate a Gaussian or Gaussian-derived field model.
 
-    Component fields are iid unit-variance Gaussians with seeds derived via
-    :func:`component_seed`, so e.g. a chi-square field equals the pointwise
-    sum of squares of its components exactly, not just in distribution.
+    Component fields are iid unit-variance Gaussians taken in pairs from
+    complex draws: components ``2m`` and ``2m + 1`` are the real and
+    imaginary parts of the draw seeded ``component_seed(seed, m)``, so a
+    model on ``k`` components costs ``ceil(k / 2)`` draws, and e.g. a
+    chi-square field equals the pointwise sum of squares of its components
+    exactly, not just in distribution.  A Gaussian model is the real part
+    of the draw seeded ``seed`` itself, as in :func:`simulate_gaussian`.
     """
     return model._simulate(shape, spacing, seed)
 
