@@ -6,8 +6,10 @@ The central object is the kinematic sum
 
 combining Lipschitz-Killing curvatures of the parameter rectangle M (measured
 in the metric induced by the field) with Gaussian Minkowski functionals of
-the hitting set D.  Specialisations provide vectorised closed forms for
-Gaussian fields on rectangles, high-level asymptotics, the tail-probability
+the hitting set D.  Every closed-form field model (Gaussian, chi-square, T
+and F) hands the sum one vectorised table of EC densities over all its
+levels (see :mod:`xkit.geometry`), so one sum serves every model and every
+order.  On top of it sit high-level asymptotics, the tail-probability
 approximation with its error bound, level solving for a target tail mass,
 and a ranking statistic comparing an empirical EC curve against candidate
 models.
@@ -26,14 +28,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy import optimize
 
 from .fields import (
-    ChiSquaredModel,
     FieldModel,
     GaussianModel,
     GaussianisedModel,
-    TFieldModel,
     _cov_key,
     _LRUCache,
     component_seed,
@@ -43,12 +43,9 @@ from .geometry import (
     GMFSeries,
     LKCVector,
     Rectangle,
-    chi2_gmf,
-    density_derivative_gmf,
+    _gaussian_ec_table,
     flag_coefficient,
     gaussian_gmf,
-    gaussian_tail,
-    hermite,
     rectangle_lkcs,
 )
 from .topology import ECCurve, ec_curve
@@ -174,25 +171,24 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
 # Gaussian rectangle closed forms
 # ---------------------------------------------------------------------------
 
-def _gaussian_kinematic_sum(lkcs: LKCVector, z, i: int):
-    """E L_i of ``{f >= u}`` at standardised levels ``z`` (scalar or array).
+def _kinematic_sum(lkcs: LKCVector, table, i: int):
+    """E L_i of ``{f >= u}`` from an EC-density table (see :mod:`xkit.geometry`).
 
-    The kinematic sum with the Gaussian functionals written out, grouped as
+    With ``table = (tail, envelope, [P_1, ..., P_J])``, ``J >= dim - i``, the
+    sum is grouped as
 
-        flag(i, 0) L_i Psi(z)
-          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] H_(j-1)(z) e^(-z^2/2)
+        flag(i, 0) L_i tail
+          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] P_j envelope
 
-    so that each level costs one Hermite polynomial per order and the order-0
-    curve is the rectangle closed form ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.
-    A scalar level gives a float.
+    so that the Gaussian order-0 curve is the rectangle closed form
+    ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.  A scalar level gives a float.
     """
-    z = np.asarray(z, dtype=float)
-    acc = flag_coefficient(i, 0) * lkcs[i] * gaussian_tail(z)
-    envelope = np.exp(-0.5 * z * z)
+    tail, envelope, polys = table
+    acc = flag_coefficient(i, 0) * lkcs[i] * tail
     for j in range(1, lkcs.dim - i + 1):
         coef = flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-(j + 1) / 2.0)
-        acc = acc + coef * hermite(j - 1, z) * envelope
-    return float(acc) if z.ndim == 0 else acc
+        acc = acc + coef * polys[j - 1] * envelope
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
 def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: float, u):
@@ -208,13 +204,14 @@ def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: floa
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
     scaled = _isotropic_lkcs(rectangle_lkcs(rect), lambda2 / sigma2)
-    return _gaussian_kinematic_sum(scaled, np.asarray(u, dtype=float) / math.sqrt(sigma2), 0)
+    z = np.asarray(u, dtype=float) / math.sqrt(sigma2)
+    return _kinematic_sum(scaled, _gaussian_ec_table(z, rect.dim), 0)
 
 
 def expected_ec_stationary_rectangle(rect: Rectangle, spectral: np.ndarray, u):
     """Expected EC for a unit-variance stationary Gaussian field with
     spectral-moment matrix ``spectral`` (anisotropy allowed)."""
-    return _gaussian_kinematic_sum(metric_rectangle_lkcs(rect, spectral), u, 0)
+    return _kinematic_sum(metric_rectangle_lkcs(rect, spectral), _gaussian_ec_table(u, rect.dim), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +368,12 @@ def _expected_values(
 ) -> np.ndarray:
     """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
 
-    Gaussian fields take the vectorised kinematic sum; chi-square, T and F
-    fields the per-level sum over the Minkowski functionals of their marginal
-    hitting sets; gaussianised fields a cached simulation average.  For the
-    closed-form routes ``rect`` may be the domain's curvatures already in the
-    model's metric (see :func:`_metric_lkcs`), so that a root finder pays for
-    them once rather than per level.
+    Gaussian, chi-square, T and F fields take the kinematic sum over the EC
+    densities their ``_ec_densities`` hook tabulates for all levels at once;
+    gaussianised fields, which have no closed form, a cached simulation
+    average.  For the closed forms ``rect`` may be the domain's curvatures
+    already in the model's metric (see :func:`_metric_lkcs`), so that a root
+    finder pays for them once rather than per level.
     """
     dim = rect.dim
     if not 0 <= order <= dim:
@@ -390,25 +387,7 @@ def _expected_values(
         return _gaussianised_curve_values(model, rect, levels, sim_shape, sim_reps, jobs)
 
     lkcs = _metric_lkcs(model, rect) if isinstance(rect, Rectangle) else rect
-    if isinstance(model, GaussianModel):
-        return _gaussian_kinematic_sum(lkcs, levels / math.sqrt(model.cov.variance), order)
-
-    needed = dim - order
-    if isinstance(model, ChiSquaredModel):
-        def series(u: float) -> GMFSeries:
-            raw = model.k + u * math.sqrt(2.0 * model.k) if model.standardized else u
-            return chi2_gmf(raw, model.k, needed)
-    else:
-        # T and F fields: numerical derivatives of the marginal density
-        if isinstance(model, TFieldModel):
-            density, k = stats.t(model.k - 1).pdf, model.k
-        else:
-            density, k = stats.f(model.n, model.m).pdf, model.n + model.m
-
-        def series(u: float) -> GMFSeries:
-            return density_derivative_gmf(density, u, needed, k=k)
-
-    return np.array([expected_lkc_general(lkcs, series(u), order) for u in levels])
+    return _kinematic_sum(lkcs, model._ec_densities(levels, dim - order), order)
 
 
 def expected_ec_curve(
@@ -423,10 +402,10 @@ def expected_ec_curve(
 ) -> ECCurve:
     """Expected EC (or order-``order`` curvature) of excursion sets, per level.
 
-    Gaussian models use the rectangle closed form; chi-square models the
-    exact marginal functional series; T and F models a numerical
-    density-derivative series; gaussianised models a cached simulation
-    average on a ``sim_shape`` lattice.
+    Gaussian, chi-square, T and F models use the Gaussian kinematic formula
+    with closed-form EC densities (Taylor 2006; Worsley 1994), vectorised
+    over the levels; gaussianised models a cached simulation average on a
+    ``sim_shape`` lattice.
     """
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:

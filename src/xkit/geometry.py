@@ -8,9 +8,13 @@ quantities that every expected-topology formula is built from:
 * volumes of unit balls and flag coefficients,
 * Lipschitz-Killing curvatures (intrinsic volumes) of axis-aligned
   rectangles, together with the Steiner tube-volume expansion,
-* Gaussian-measure Minkowski functionals of one-sided hitting sets for
-  the Gaussian and chi-square marginals, plus a generic numerical route
-  that works from a bare probability density.
+* Gaussian Minkowski functionals of hitting sets (the Taylor coefficients
+  of the Gaussian measure of their tubes) for the Gaussian half line and
+  the chi-square ball complement, plus a numerical half-line route,
+* EC-density tables ``(tail, envelope, [P_1..P_J])`` of the Gaussian,
+  chi-square, Student-t and F marginals over arrays of levels: the density
+  of order ``j >= 1`` is ``(2 pi)^(-(j+1)/2) P_j envelope``, that of order 0
+  the tail; for the Gaussian ``P_j = H_(j-1)`` and the envelope ``e^(-u^2/2)``.
 
 Everything here is deterministic, cheap, and heavily cross-checked by
 the test suite; the Monte-Carlo and lattice machinery lives elsewhere.
@@ -34,7 +38,6 @@ __all__ = [
     "hermite",
     "gaussian_density",
     "gaussian_tail",
-    "chi2_density",
     "chi2_tail",
     "rectangle_lkcs",
     "tube_volume_rectangle",
@@ -85,22 +88,6 @@ def gaussian_tail(x):
     """
     x = np.asarray(x, dtype=float)
     out = 0.5 * special.erfc(x / math.sqrt(2.0))
-    return out if out.ndim else float(out)
-
-
-def chi2_density(x, k: int):
-    """Density of the chi-square distribution with ``k`` degrees of freedom."""
-    if k < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    x = np.asarray(x, dtype=float)
-    half = k / 2.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            x > 0,
-            np.exp((half - 1.0) * np.log(np.where(x > 0, x, 1.0)) - x / 2.0)
-            / (2.0 ** half * math.gamma(half)),
-            0.0,
-        )
     return out if out.ndim else float(out)
 
 
@@ -287,51 +274,18 @@ def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     return GMFSeries(k=1, values=values)
 
 
-def _chi2_density_derivative(u: float, k: int, order: int) -> float:
-    """Exact ``order``-th derivative of the chi-square density at ``u > 0``.
-
-    Writing ``p(u) = c_k u^a exp(-u/2)`` with ``a = k/2 - 1``, the Leibniz
-    rule gives
-
-        p^(d)(u) = c_k exp(-u/2)
-                   * sum_m binom(d, m) * a(a-1)...(a-m+1) * u^(a-m) * (-1/2)^(d-m).
-
-    Terms whose falling factorial vanishes are skipped, which also makes
-    ``u = 0`` well defined whenever the surviving exponents are nonnegative.
-    """
-    a = k / 2.0 - 1.0
-    c = 1.0 / (2.0 ** (k / 2.0) * math.gamma(k / 2.0))
-    total = 0.0
-    for m in range(order + 1):
-        fall = math.prod(a - i for i in range(m))  # empty product = 1
-        if fall == 0.0:
-            continue
-        expo = a - m
-        if u == 0.0:
-            if expo < 0:
-                raise ValueError(
-                    f"chi-square density derivative of order {order} diverges at u=0 "
-                    f"for k={k}; evaluate at u > 0"
-                )
-            powu = 1.0 if expo == 0 else 0.0
-        else:
-            powu = u ** expo
-        total += math.comb(order, m) * fall * powu * (-0.5) ** (order - m)
-    return c * math.exp(-u / 2.0) * total
-
-
 def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
     """Minkowski functionals of the chi-square hitting set ``{x : |x|^2 >= u}``.
 
-    ``M_0`` is the chi-square upper tail at ``u``; for ``j >= 1`` the series
-    follows the density-derivative identity
+    The hitting set is the complement of the ball of radius ``r = sqrt(u)``
+    in ``R^k``, so its ``rho``-tube is ``{|x| >= r - rho}`` and its Gaussian
+    measure is ``P{chi_k >= r - rho}``.  The functionals are the Taylor
+    coefficients of that measure in ``rho``: ``M_0`` is the chi-square upper
+    tail at ``u`` and, for ``j >= 1``, a radial derivative of the chi density,
 
-        ``M_j = (-1)^(j-1) * d^(j-1)/du^(j-1) p_k(u)``,
+        ``M_j = (-1)^(j-1) * d^(j-1)/dr^(j-1) p_(chi_k)(r)``  at ``r = sqrt(u)``,
 
-    with ``p_k`` the chi-square density, evaluated in closed form by the
-    Leibniz expansion above.  The identity is what the rest of the package
-    treats as the definition of these functionals, and the finite-difference
-    route in :func:`density_derivative_gmf` provides an independent check.
+    evaluated in closed form by the Leibniz rule (see :func:`_chi2_ec_table`).
     For ``u <= 0`` the hitting set is all of ``R^k`` and the series is
     ``(1, 0, 0, ...)``.
     """
@@ -339,17 +293,85 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    u = float(u)
-    values = np.zeros(max_order + 1)
-    if u <= 0.0:
-        # A nonpositive threshold is hit everywhere: the set is all of R^k,
-        # its tube is again R^k, so the expansion is flat.
-        values[0] = 1.0
-        return GMFSeries(k=k, values=values)
-    values[0] = chi2_tail(u, k)
+    tail, envelope, polys = _chi2_ec_table(np.array([float(u)]), k, max_order)
+    values = [tail[0]] + [p[0] * envelope[0] / math.sqrt(2.0 * math.pi) for p in polys]
+    return GMFSeries(k=k, values=np.array(values))
+
+
+# ---------------------------------------------------------------------------
+# EC-density tables (see the module docstring)
+# ---------------------------------------------------------------------------
+
+def _gaussian_ec_table(z, max_order: int):
+    """EC-density table of ``{f >= z}`` for a unit-variance Gaussian field."""
+    z = np.asarray(z, dtype=float)
+    return gaussian_tail(z), np.exp(-0.5 * z * z), [hermite(j, z) for j in range(max_order)]
+
+
+def _chi2_ec_table(u, k: int, max_order: int):
+    """EC-density table of ``{chi^2_k >= u}`` from the radial derivatives.
+
+    With ``r = sqrt(u)`` and ``p(r) = c r^a e^(-r^2/2)`` the chi density,
+    ``a = k - 1``, the Leibniz rule and ``d^n/dr^n e^(-r^2/2) = (-1)^n H_n(r)
+    e^(-r^2/2)`` give ``M_(n+1) = c e^(-u/2) sum_m binom(n, m) a!/(a-m)! (-1)^m
+    r^(a-m) H_(n-m)(r)``, with no negative power of ``r``; ``P_(n+1) =
+    sqrt(2 pi) M_(n+1) e^(u/2)``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+    """
+    u = np.asarray(u, dtype=float)
+    inside = u > 0.0
+    r = np.sqrt(np.where(inside, u, 0.0))
+    envelope = np.exp(-0.5 * r * r) * inside
+    const = math.sqrt(2.0 * math.pi) / (2.0 ** (k / 2.0 - 1.0) * math.gamma(k / 2.0))
+    polys = []
+    for n in range(max_order):
+        acc = np.zeros_like(r)
+        for m in range(min(n, k - 1) + 1):
+            coef = (-1) ** m * math.comb(n, m) * math.perm(k - 1, m)
+            acc = acc + coef * r ** (k - 1 - m) * hermite(n - m, r)
+        polys.append(const * acc)
+    return chi2_tail(u, k), envelope, polys
+
+
+def _t_ec_table(t, nu: int, max_order: int):
+    """EC-density table of ``{T_nu >= t}`` (Worsley 1994, to order 3)."""
+    if max_order > 3:
+        raise NotImplementedError(f"Student-t EC densities stop at order 3, got {max_order}")
+    t = np.asarray(t, dtype=float)
+    envelope = (1.0 + t * t / nu) ** (-(nu - 1.0) / 2.0)
+    ratio = math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)) / math.sqrt(nu / 2.0)
+    polys = [np.ones_like(t), ratio * t, (nu - 1.0) / nu * t * t - 1.0]
+    return special.stdtr(nu, -t), envelope, polys[:max_order]
+
+
+def _f_ec_table(u, n: int, m: int, max_order: int):
+    """EC-density table of ``{F(n, m) >= u}`` (Worsley 1994, to order 3).
+
+    With ``x = n u / m``, ``P_j = sqrt(2 pi) 2^((2-j)/2) G_j x^((n-j)/2) Q_j(x)``
+    where ``G_j = Gamma((n+m-j)/2) / (Gamma(n/2) Gamma(m/2))`` and ``Q_j`` is
+    a polynomial of degree ``j - 1``; the envelope is ``(1 + x)^(-(n+m-2)/2)``.
+    ``G_j`` needs ``n + m > j``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+    """
+    if max_order > min(3, n + m - 1):
+        raise NotImplementedError(
+            f"F({n}, {m}) EC densities stop at order {min(3, n + m - 1)}, got {max_order}"
+        )
+    u = np.asarray(u, dtype=float)
+    inside = u > 0.0
+    x = n * np.where(inside, u, 1.0) / m
+    envelope = (1.0 + x) ** (-(n + m - 2.0) / 2.0) * inside
+    log_norm = math.lgamma(n / 2.0) + math.lgamma(m / 2.0)
+    q = (
+        (1.0,),
+        (-(n - 1.0), m - 1.0),
+        ((n - 1.0) * (n - 2.0), -(2.0 * n * m - n - m - 1.0), (m - 1.0) * (m - 2.0)),
+    )
+    polys = []
     for j in range(1, max_order + 1):
-        values[j] = (-1.0) ** (j - 1) * _chi2_density_derivative(u, k, j - 1)
-    return GMFSeries(k=k, values=values)
+        g = math.exp(math.lgamma((n + m - j) / 2.0) - log_norm)
+        const = math.sqrt(2.0 * math.pi) * 2.0 ** ((2 - j) / 2.0) * g
+        polys.append(const * x ** ((n - j) / 2.0) * np.polynomial.polynomial.polyval(x, q[j - 1]))
+    tail = np.where(inside, special.fdtrc(n, m, np.where(inside, u, 0.0)), 1.0)
+    return tail, envelope, polys
 
 
 def _central_difference_weights(order: int, half_width: int) -> np.ndarray:
@@ -369,10 +391,10 @@ def _central_difference_weights(order: int, half_width: int) -> np.ndarray:
 
 
 def density_derivative_gmf(density, u: float, max_order: int, k: int = 1) -> GMFSeries:
-    """Minkowski functionals from a bare marginal density, numerically.
+    """Level-derivative series of a bare marginal density, numerically.
 
-    This is the generic (and deliberately independent) route: ``M_0`` is
-    obtained by adaptive quadrature of ``density`` over ``[u, inf)`` and
+    ``M_0`` is obtained by adaptive quadrature of ``density`` over
+    ``[u, inf)`` and
 
         ``M_j = (-1)^(j-1) * d^(j-1)/du^(j-1) density(u)``   for ``j >= 1``
 
@@ -380,6 +402,13 @@ def density_derivative_gmf(density, u: float, max_order: int, k: int = 1) -> GMF
     step for the ``d``-th derivative is ``eps^(1/(d+4)) * max(1, |u|)``,
     which balances truncation against the ``1/h^d`` roundoff amplification;
     a fixed tiny step would lose all significant digits by ``d = 3``.
+
+    These are the Gaussian Minkowski functionals only of the half line
+    ``[u, inf)`` under the standard normal density, where they reproduce
+    :func:`gaussian_gmf`.  The hitting set of a chi-square, t or F field lives
+    in a Gaussian space of several dimensions, and its functionals are not
+    level derivatives of its marginal density (see :func:`chi2_gmf`); no
+    expected-curve route uses this function.
 
     ``density`` must be vectorised over numpy arrays (the scipy.stats pdf
     methods and the module's own densities all qualify).

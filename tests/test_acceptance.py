@@ -24,11 +24,12 @@ curve falls 55.4 -> 13.4 -> 3.8 over 64**3, 128**3 and 256**3, roughly as
 h^2, and the test asserts at least a twofold fall per halving of h.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from scipy import ndimage, special, stats
+from scipy import integrate, ndimage, special, stats
 
 from xkit.expectations import (
     expected_ec_curve,
@@ -42,8 +43,10 @@ from xkit.expectations import (
 from xkit.fields import (
     ChiSquaredModel,
     CovarianceModel,
+    FFieldModel,
     GaussianModel,
     GaussianisedModel,
+    TFieldModel,
     estimate_spectral_moments,
     simulate_model,
 )
@@ -52,7 +55,6 @@ from xkit.geometry import (
     LKCVector,
     Rectangle,
     chi2_gmf,
-    density_derivative_gmf,
     gaussian_gmf,
     hermite,
     rectangle_lkcs,
@@ -270,22 +272,168 @@ def test_criterion_3_mean_ec_curve_3d():
 
 
 # ---------------------------------------------------------------------------
-# criterion 4: chi-square functional series vs numerical density route
+# criterion 4: chi-square, t and F EC densities vs the tube definition
 # ---------------------------------------------------------------------------
+#
+# For a field F(x_1..x_N) of iid unit Gaussians, the Gaussian Minkowski
+# functionals M_j of the hitting set D = {F >= u} in R^N are the Taylor
+# coefficients of the Gaussian measure of its tube,
+# gamma_N(Tube(D, rho)) = sum_j rho^j / j! M_j (Taylor 2006, Ann. Probab. 34).
+# For chi-square, t and F fields, D depends on x only through a numerator
+# radius a and a denominator radius b, and the distance from x to D is the
+# distance from (a, b) to D's image in the (a, b) plane: turning each block of
+# x onto its nearest point of D costs nothing.  The oracle below computes
+# the tube measure there and differentiates it in rho at 0.  It uses no xkit
+# closed form.
+#
+# chi^2_k: a = |x| ~ chi_k and D = {a >= r}, r = sqrt(u), so Tube(D, rho) =
+#   {a >= r - rho} and gamma(Tube) = M_0 + int_0^rho p_a(r - w) dw exactly:
+#   M_j = d^(j-1)/dw^(j-1) p_a(r - w) at w = 0.
+# t_nu: a = x_1 ~ N(0, 1) (signed), b = |x_2..x_(nu+1)| ~ chi_nu and
+#   D = {a >= b tan psi} with tan psi = t / sqrt(nu).
+# F(n, m): a ~ chi_n, b ~ chi_m and D = {a >= b tan psi}, tan psi = sqrt(n u / m).
+#
+# For the cone, write a point as s e + w v with e = (sin psi, cos psi) along
+# the boundary ray and v = (-cos psi, sin psi) its outward normal, so that
+# a^2 + b^2 = s^2 + w^2.  The tube outside D is {s >= 0, 0 <= w <= rho} up to
+# a disc of radius rho about the apex, whose measure is O(rho^N); so
+# gamma(Tube) = M_0 + int_0^rho h(w) dw + O(rho^N), h(w) = int_0^inf q(s, w) ds,
+# and M_j = h^(j-1)(0) for j < N.  The joint density of the radii along the
+# shifted line is q = c (s sin psi - w cos psi)^alpha (s cos psi + w sin psi)^beta
+# e^(-s^2/2) e^(-w^2/2), a polynomial in w times e^(-w^2/2): its w-derivatives
+# at 0 are products of coefficients, and the integral over s is a quadrature.
+# M_0 = gamma(D) is a quadrature over the denominator radius.
 
-def test_criterion_4_chi2_gmf_oracle():
-    levels = np.linspace(0.5, 12.0, 20)
-    worst = 0.0
-    for k in (3, 5):
-        density = stats.chi2(df=k).pdf
-        for u in levels:
-            closed = chi2_gmf(float(u), k, 4).values
-            numeric = density_derivative_gmf(density, float(u), 4, k=k).values
-            worst = max(worst, float(np.max(np.abs(closed - numeric))))
-    ok = worst <= 1e-6
-    _verdict(4, "chi-square functional series vs numeric density route", ok,
-             f"max abs difference {worst:.3e} over k in {{3,5}}, orders 0..4, "
-             f"20 levels (tolerance 1e-6)")
+TWO_PI = 2.0 * math.pi
+# flag coefficients [n, j] = C(n, j) omega_n / (omega_(n-j) omega_j) for n <= 3
+_FLAGS = {(2, 1): math.pi / 2.0, (3, 1): 2.0, (3, 2): 2.0}
+_QUAD = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+
+def _chi_log_norm(k: int) -> float:
+    """log of 2^(k/2 - 1) Gamma(k/2), the normaliser of the chi_k density."""
+    return (k / 2.0 - 1.0) * math.log(2.0) + math.lgamma(k / 2.0)
+
+
+def _chi_density(r: float, k: int) -> float:
+    if r <= 0.0:
+        return 0.0
+    return math.exp((k - 1) * math.log(r) - 0.5 * r * r - _chi_log_norm(k))
+
+
+def _w_series(*factors):
+    """Coefficients of w^0..w^2 of a product of polynomials in w."""
+    out = np.array([1.0])
+    for f in factors:
+        out = np.polynomial.polynomial.polymul(out, f)
+    return np.pad(out, (0, 3))[:3]
+
+
+def _tube_chi2_gmfs(u: float, k: int) -> np.ndarray:
+    """M_0..M_3 of {|x| >= sqrt(u)} in R^k."""
+    r = math.sqrt(u)
+    m0 = integrate.quad(lambda a: _chi_density(a, k), r, np.inf, **_QUAD)[0]
+    # p_a(r - w) = c e^(-r^2/2) (r - w)^(k-1) e^(r w) e^(-w^2/2)
+    series = _w_series(
+        np.polynomial.polynomial.polypow([r, -1.0], k - 1),
+        [1.0, r, 0.5 * r * r],
+        [1.0, 0.0, -0.5],
+    )
+    scale = math.exp(-0.5 * r * r - _chi_log_norm(k))
+    return np.array([m0] + [math.factorial(j) * series[j] * scale for j in range(3)])
+
+
+def _tube_cone_gmfs(tan_psi, alpha, beta, log_c, a_tail, b_dof) -> np.ndarray:
+    """M_0..M_3 of the cone {a >= b tan psi} for radii with joint density
+    c |a|^alpha b^beta e^(-(a^2+b^2)/2), b ~ chi_(b_dof) and P{a >= x} = a_tail(x)."""
+    psi = math.atan(tan_psi)
+    sin_p, cos_p = math.sin(psi), math.cos(psi)
+    c = math.exp(log_c)
+    m0 = integrate.quad(lambda b: _chi_density(b, b_dof) * a_tail(b * tan_psi),
+                        0.0, np.inf, **_QUAD)[0]
+
+    def coefficient(s: float, d: int) -> float:
+        series = _w_series(
+            np.polynomial.polynomial.polypow([s * sin_p, -cos_p], alpha),
+            np.polynomial.polynomial.polypow([s * cos_p, sin_p], beta),
+            [1.0, 0.0, -0.5],
+        )
+        return c * series[d] * math.exp(-0.5 * s * s)
+
+    derivs = [integrate.quad(coefficient, 0.0, np.inf, args=(d,), **_QUAD)[0] for d in range(3)]
+    return np.array([m0] + [math.factorial(d) * v for d, v in enumerate(derivs)])
+
+
+def _tube_t_gmfs(t: float, nu: int) -> np.ndarray:
+    log_c = -0.5 * math.log(TWO_PI) - _chi_log_norm(nu)
+    return _tube_cone_gmfs(t / math.sqrt(nu), 0, nu - 1, log_c,
+                           lambda x: 0.5 * math.erfc(x / math.sqrt(2.0)), nu)
+
+
+def _tube_f_gmfs(u: float, n: int, m: int) -> np.ndarray:
+    log_c = -_chi_log_norm(n) - _chi_log_norm(m)
+    return _tube_cone_gmfs(math.sqrt(n * u / m), n - 1, m - 1, log_c,
+                           lambda x: special.gammaincc(n / 2.0, 0.5 * x * x), m)
+
+
+def test_criterion_4_ec_densities_tube_oracle():
+    # E L_i = sum_j [i+j, j] (2 pi)^(-j/2) L_(i+j) M_j on a box of side lengths
+    # T at roughness lam, whose metric curvatures are lam^(k/2) e_k(T)
+    lam, sides = 20.0, (1.0, 0.7, 1.3)
+    box = Rectangle(sides)
+    lkcs = [lam ** (k / 2.0) * sum(math.prod(c) for c in itertools.combinations(sides, k))
+            for k in range(4)]
+    cov = CovarianceModel(variance=1.0, lambda2=lam)
+    chi_levels = [0.3, 1.0, 2.5, 5.0, 9.0, 16.0]
+    t_levels = [-3.0, -1.0, -0.2, 0.0, 0.7, 2.0, 4.5]
+    f_levels = [0.2, 0.8, 1.5, 3.0, 7.0, 15.0]
+    cases = [(ChiSquaredModel(k=k, cov=cov), chi_levels, lambda u, k=k: _tube_chi2_gmfs(u, k))
+             for k in (1, 3, 5)]
+    cases += [(TFieldModel(k=nu + 1, cov=cov), t_levels, lambda t, nu=nu: _tube_t_gmfs(t, nu))
+              for nu in (4, 5)]
+    cases += [(FFieldModel(n=n, m=m, cov=cov), f_levels,
+               lambda u, n=n, m=m: _tube_f_gmfs(u, n, m)) for n, m in ((1, 7), (4, 9))]
+    worst, checked = 0.0, 0
+    for model, levels, oracle in cases:
+        gmfs = np.array([oracle(u) for u in levels])
+        if isinstance(model, ChiSquaredModel):
+            series = np.array([chi2_gmf(u, model.k, 3).values for u in levels])
+            scale = np.abs(gmfs).max(axis=1)[:, None]
+            worst = max(worst, float(np.max(np.abs(series - gmfs) / scale)))
+        for i in range(4):
+            terms = np.array([
+                [_FLAGS.get((i + j, j), 1.0) * TWO_PI ** (-j / 2.0) * lkcs[i + j] * g[j]
+                 for j in range(4 - i)]
+                for g in gmfs
+            ])
+            got = expected_ec_curve(model, box, levels, order=i).values
+            gap = np.abs(got - terms.sum(axis=1)) / np.abs(terms).sum(axis=1)
+            worst = max(worst, float(gap.max()))
+            checked += len(levels)
+    ok = worst <= 1e-9
+    _verdict(4, "chi-square, t and F expected curves vs tube-measure oracle", ok,
+             f"max relative gap {worst:.3e} over {checked} (model, level, order) triples, "
+             f"chi2_k k=1,3,5, t_nu nu=4,5, F(1,7), F(4,9), orders 0..3 (tolerance 1e-9)")
+    assert ok
+
+
+def test_criterion_4_chi2_mean_ec_curve_2d():
+    # the route from sampler to kinematic formula for a non-Gaussian field:
+    # chi^2_5 fields on 256^2 over the unit square, as in criterion 2
+    model = ChiSquaredModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=200.0))
+    levels = np.linspace(0.0, 25.0, 101)
+    reps = 200
+    curves = np.empty((reps, levels.size))
+    for r in range(reps):
+        f = simulate_model(model, (256, 256), 1.0 / 255.0, seed=40000 + r)
+        curves[r] = ec_curve(f, levels).values
+    mean = curves.mean(axis=0)
+    tol = np.maximum(3.0 * curves.std(axis=0, ddof=1) / math.sqrt(reps), 3.0 / reps)
+    expect = expected_ec_curve(model, SQUARE, levels).values
+    within = _coverage(mean, expect, tol)
+    ok = within >= 96
+    _verdict(4, "2-d mean chi^2_5 EC curve, 200 realisations", ok,
+             f"{within}/101 levels within 3 SE (need >= 96)")
     assert ok
 
 

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import xkit.expectations as expectations_mod
 from xkit.cli import main, parse_levels, parse_model, parse_shape
@@ -281,11 +282,32 @@ def test_eec_chisq_qualitative_shape(capsys):
     )
     assert code == 0
     rows = [ln for ln in stdout.strip().split("\n") if not ln.startswith(("#", "u,"))]
+    levels = np.array([float(r.split(",")[0]) for r in rows])
     values = np.array([float(r.split(",")[1]) for r in rows])
-    assert np.all(values > 0.0)
+    # Worsley's (1994) chi^2_5 EC densities on the unit cube, L = (1, 3, 3, 1)
+    e = np.exp(-0.5 * levels) / (2.0 ** 1.5 * math.gamma(2.5))
+    two_pi = 2.0 * math.pi
+    rho = [
+        stats.chi2(5).sf(levels),
+        levels**2 * e / math.sqrt(two_pi),
+        levels**1.5 * e * (levels - 4.0) / two_pi,
+        levels * e * (levels**2 - 9.0 * levels + 12.0) / two_pi**1.5,
+    ]
+    want = sum(c * 20.0 ** (j / 2.0) * rho[j] for j, c in enumerate((1.0, 3.0, 3.0, 1.0)))
+    np.testing.assert_allclose(values, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
     signs = np.sign(np.diff(values))
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    assert len(flips) == 2  # dip then bump, then monotone decay
+    assert len(flips) == 3  # cavities' bump, handles' dip, blobs' bump, then decay
+    assert values.min() < 0.0 < values[-1]
+
+
+def test_eec_beyond_closed_form_order_is_capability_error(capsys):
+    code, _, err = run_cli(
+        ["eec", "--model", "t:5", "--sides", "1,1,1,1", "--lambda2", "20", "--levels=0:1:1"],
+        capsys,
+    )
+    assert code == 4
+    assert "order 3" in err
 
 
 def test_eec_order_flag_emits_curvature(capsys):

@@ -43,7 +43,7 @@ from xkit.geometry import (
     GMFSeries,
     LKCVector,
     Rectangle,
-    density_derivative_gmf,
+    chi2_gmf,
     gaussian_gmf,
     gaussian_tail,
     rectangle_lkcs,
@@ -396,40 +396,61 @@ def test_expected_curve_level_validation():
         expected_ec_curve(model, SQUARE, np.array([0.0, 1.0]), order=3)
 
 
+def _worsley_chi2_densities(u, k):
+    """Worsley's (1994) chi-square EC densities rho_0..rho_3 at levels u > 0,
+    written out from the paper for unit-roughness components."""
+    u = np.asarray(u, dtype=float)
+    e = np.exp(-0.5 * u) / (2.0 ** ((k - 2) / 2.0) * math.gamma(k / 2.0))
+    return [
+        stats.chi2(k).sf(u),
+        u ** ((k - 1) / 2.0) * e / math.sqrt(2.0 * math.pi),
+        u ** ((k - 2) / 2.0) * e * (u - (k - 1)) / (2.0 * math.pi),
+        u ** ((k - 3) / 2.0) * e * (u * u - (2 * k - 1) * u + (k - 1) * (k - 2))
+        / (2.0 * math.pi) ** 1.5,
+    ]
+
+
+def _worsley_chi2_cube(u, k, lam):
+    """Expected EC of a chi^2_k field on the unit cube: L = (1, 3, 3, 1)."""
+    rho = _worsley_chi2_densities(u, k)
+    return sum(c * lam ** (j / 2.0) * rho[j] for j, c in enumerate((1.0, 3.0, 3.0, 1.0)))
+
+
 def test_expected_curve_chisq_shape():
-    # chi^2_5, lambda2=20, unit cube: the curve on (0, 15] stays strictly
-    # positive (tail mass never lets it cross zero) and shows the
-    # characteristic dip just above 0 followed by a bump near the density
-    # mode, then decays
+    # chi^2_5, lambda2=20, unit cube.  The curve is Worsley's closed form, and
+    # in 3-D it has his three phases: small cavities (EC > 0) around the local
+    # minima of |x|^2 at low levels, handles (EC < 0) near the density mode,
+    # isolated blobs (EC > 0) above it, then decay.
     model = ChiSquaredModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=20.0))
     levels = np.linspace(0.15, 15.0, 100)
     values = expected_ec_curve(model, CUBE, levels).values
-    assert np.all(values > 0.0)  # zero sign changes on (0, k+10]
+    want = _worsley_chi2_cube(levels, 5, 20.0)
+    np.testing.assert_allclose(values, want, rtol=1e-10, atol=1e-12 * np.max(np.abs(want)))
     d = np.diff(values)
     signs = np.sign(d)
-    flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    assert len(flips) == 2
-    i_min, i_max = flips[0] + 1, flips[1] + 1
-    assert 0.4 <= levels[i_min] <= 1.5  # dip sits just above zero
-    assert 3.0 <= levels[i_max] <= 4.5  # bump near the chi^2_5 mode
-    assert values[i_min] < values[0]
-    assert values[i_max] > values[i_min]
-    assert np.all(d[i_max:] < 0.0)  # monotone decay past the bump
-    assert values[-1] < 0.06
+    turns = np.nonzero(signs[1:] != signs[:-1])[0] + 1
+    np.testing.assert_allclose(levels[turns], [0.45, 2.7, 8.55], atol=1e-9)
+    crossings = np.nonzero(np.sign(values[1:]) != np.sign(values[:-1]))[0]
+    assert len(crossings) == 2  # positive, negative around the mode, positive
+    assert values[turns[1]] == pytest.approx(-5.6576, abs=1e-4)
+    assert np.all(d[turns[2]:] < 0.0)  # monotone decay past the second bump
+    assert values[-1] == pytest.approx(2.3633, abs=1e-4)
 
 
 def test_expected_curve_chisq_dual_route():
-    # exact factorial-series functionals against the generic numerical
-    # density-derivative route
+    # the vectorised curve of every order against the per-level kinematic sum
+    # over the public chi2_gmf series, and the order-0 curve against Worsley
     model = ChiSquaredModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=20.0))
     levels = np.array([1.0, 3.0, 5.0, 8.0, 12.0])
-    exact = expected_ec_curve(model, CUBE, levels).values
     lk = metric_rectangle_lkcs(CUBE, 20.0 * np.eye(3))
-    pdf = stats.chi2(5).pdf
-    alt = np.array(
-        [expected_lkc_general(lk, density_derivative_gmf(pdf, u, 3, k=5), 0) for u in levels]
-    )
-    np.testing.assert_allclose(exact, alt, rtol=1e-8)
+    for order in range(4):
+        exact = expected_ec_curve(model, CUBE, levels, order=order).values
+        alt = np.array(
+            [expected_lkc_general(lk, chi2_gmf(u, 5, 3 - order), order) for u in levels]
+        )
+        np.testing.assert_allclose(exact, alt, rtol=1e-12)
+        if order == 0:
+            np.testing.assert_allclose(exact, _worsley_chi2_cube(levels, 5, 20.0), rtol=1e-12)
 
 
 def test_expected_curve_chisq_standardized_level_map():
@@ -444,25 +465,49 @@ def test_expected_curve_chisq_standardized_level_map():
 
 
 def test_expected_curve_t_interval_direct_formula():
+    # Rice formula on an interval: E EC{T >= t} = P{T >= t} + the mean number of
+    # upcrossings, whose rate per unit metric length is
+    # (1 + t^2/nu)^(-(nu-1)/2) / (2 pi) for T = x_1 sqrt(nu) / |x_2..x_(nu+1)|
+    # (Worsley 1994).  At t = 0, T upcrosses exactly where x_1 does, at the
+    # Gaussian rate 1 / (2 pi) whatever nu.
     lam, T = 50.0, 2.0
     model = TFieldModel(k=6, cov=CovarianceModel(variance=1.0, lambda2=lam))
     levels = np.array([-2.0, -0.5, 0.0, 1.0, 2.5, 4.0])
     curve = expected_ec_curve(model, Rectangle((T,)), levels)
-    direct = stats.t(5).sf(levels) + T * math.sqrt(lam) * stats.t(5).pdf(levels) / math.sqrt(
-        2.0 * math.pi
-    )
+    rate = (1.0 + levels**2 / 5.0) ** -2.0 / (2.0 * math.pi)
+    direct = stats.t(5).sf(levels) + T * math.sqrt(lam) * rate
     np.testing.assert_allclose(curve.values, direct, rtol=1e-10)
+    assert curve.values[2] == pytest.approx(0.5 + T * math.sqrt(lam) / (2.0 * math.pi), rel=1e-12)
 
 
 def test_expected_curve_f_interval_direct_formula():
-    lam, T = 50.0, 2.0
-    model = FFieldModel(n=4, m=9, cov=CovarianceModel(variance=1.0, lambda2=lam))
+    # Rice formula for F = (m |x_1..x_n|^2) / (n |x_(n+1)..x_(n+m)|^2): the
+    # upcrossing rate of level u is, with x = n u / m (Worsley 1994),
+    # Gamma((n+m-1)/2) / (Gamma(n/2) Gamma(m/2)) x^((n-1)/2) (1+x)^(-(n+m-2)/2) / sqrt(pi)
+    lam, T, n, m = 50.0, 2.0, 4, 9
+    model = FFieldModel(n=n, m=m, cov=CovarianceModel(variance=1.0, lambda2=lam))
     levels = np.array([0.2, 0.7, 1.5, 3.0])
     curve = expected_ec_curve(model, Rectangle((T,)), levels)
-    direct = stats.f(4, 9).sf(levels) + T * math.sqrt(lam) * stats.f(4, 9).pdf(
-        levels
-    ) / math.sqrt(2.0 * math.pi)
+    x = n * levels / m
+    gamma_ratio = math.gamma((n + m - 1) / 2.0) / (math.gamma(n / 2.0) * math.gamma(m / 2.0))
+    rate = gamma_ratio * x ** ((n - 1) / 2.0) * (1.0 + x) ** (-(n + m - 2) / 2.0)
+    rate /= math.sqrt(math.pi)
+    direct = stats.f(n, m).sf(levels) + T * math.sqrt(lam) * rate
     np.testing.assert_allclose(curve.values, direct, rtol=1e-10)
+
+
+def test_closed_forms_stop_where_their_orders_do():
+    # Worsley's t and F forms reach order 3, and order j of F(n, m) needs
+    # n + m > j; order 1 of F(1, 1) = T_1^2 is twice the Cauchy rate 1/(2 pi)
+    cov = CovarianceModel(variance=1.0, lambda2=20.0)
+    with pytest.raises(NotImplementedError, match="order 3"):
+        expected_ec_curve(TFieldModel(k=5, cov=cov), Rectangle((1.0,) * 4), [1.0])
+    with pytest.raises(NotImplementedError, match="order 1"):
+        expected_ec_curve(FFieldModel(n=1, m=1, cov=cov), SQUARE, [1.0])
+    levels = np.array([0.5, 2.0, 9.0])
+    curve = expected_ec_curve(FFieldModel(n=1, m=1, cov=cov), Rectangle((1.0,)), levels)
+    direct = stats.f(1, 1).sf(levels) + math.sqrt(20.0) * 2.0 / (2.0 * math.pi)
+    np.testing.assert_allclose(curve.values, direct, rtol=1e-12)
 
 
 def _tiny_gaussianised():
@@ -625,21 +670,36 @@ def test_threshold_matches_independent_bisection():
 
 def test_rescaled_domain_leaves_curve_threshold_and_bound_unchanged():
     # sides x c with lambda2 / c^2 is the same field in other length units
-    levels = np.linspace(-3.0, 5.0, 17)
-    base = GaussianModel(cov=COV200)
-    base_curve = expected_ec_curve(base, SQUARE, levels).values
-    base_result = threshold(base, SQUARE, 0.05)
-    _, base_bound = excursion_probability(base, SQUARE, 4.0)
-    for c in (1.0, 2.0, 10.0):
-        model = GaussianModel(cov=CovarianceModel(variance=1.0, lambda2=200.0 / c**2))
-        rect = Rectangle((c, c))
-        curve = expected_ec_curve(model, rect, levels).values
-        np.testing.assert_allclose(curve, base_curve, rtol=1e-12, atol=0.0)
-        result = threshold(model, rect, 0.05)
-        assert result.u_star == pytest.approx(base_result.u_star, rel=1e-9)
-        assert result.error_bound == pytest.approx(base_result.error_bound, rel=1e-9)
-        _, bound = excursion_probability(model, rect, 4.0)
-        assert bound == pytest.approx(base_bound, rel=1e-9)
+    gauss_levels = np.linspace(-3.0, 5.0, 17)
+    positive_levels = np.linspace(0.5, 20.5, 17)
+    cases = [
+        (lambda cov: GaussianModel(cov=cov), gauss_levels),
+        (lambda cov: ChiSquaredModel(k=5, cov=cov), positive_levels),
+        (lambda cov: ChiSquaredModel(k=5, cov=cov, standardized=True), gauss_levels),
+        (lambda cov: TFieldModel(k=5, cov=cov), gauss_levels),
+        (lambda cov: FFieldModel(n=1, m=7, cov=cov), positive_levels),
+        (lambda cov: FFieldModel(n=4, m=9, cov=cov), positive_levels),
+    ]
+    for make, levels in cases:
+        base = make(COV200)
+        base_curve = expected_ec_curve(base, SQUARE, levels).values
+        base_result = threshold(base, SQUARE, 0.05)
+        level = base_result.u_star  # above the expected-EC peak, so no warning
+        base_approx, base_bound = excursion_probability(base, SQUARE, level)
+        for c in (1.0, 2.0, 10.0):
+            model = make(CovarianceModel(variance=1.0, lambda2=200.0 / c**2))
+            rect = Rectangle((c, c))
+            curve = expected_ec_curve(model, rect, levels).values
+            np.testing.assert_allclose(curve, base_curve, rtol=1e-12, atol=0.0)
+            result = threshold(model, rect, 0.05)
+            assert result.u_star == pytest.approx(base_result.u_star, rel=1e-9)
+            approx, bound = excursion_probability(model, rect, level)
+            assert approx == pytest.approx(base_approx, rel=1e-12)
+            if base_bound is None:
+                assert result.error_bound is None and bound is None
+            else:
+                assert result.error_bound == pytest.approx(base_result.error_bound, rel=1e-9)
+                assert bound == pytest.approx(base_bound, rel=1e-9)
 
 
 def test_threshold_solver_consistency():

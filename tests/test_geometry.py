@@ -1,9 +1,16 @@
 """Geometry primitives: special functions, rectangle curvatures, Minkowski functionals.
 
-Reference values in this file were produced by independent oracles before the
-implementation was written: symbolic differentiation/integration (sympy) for
-the chi-square functionals and flag coefficients, hand evaluation of the
-Hermite sum, and rejection-sampling Monte Carlo for the Steiner formula.
+Reference values in this file were produced by independent oracles: symbolic
+differentiation/integration (sympy) for the chi-square functionals and flag
+coefficients, hand evaluation of the Hermite sum, and rejection-sampling Monte
+Carlo for the Steiner formula.
+
+The chi-square functionals follow the tube definition.  The hitting set
+``{|x|^2 >= u}`` in ``R^k`` is the complement of the ball of radius
+``r = sqrt(u)``, its rho-tube is ``{|x| >= r - rho}``, and so
+``sum_j rho^j/j! M_j = P{chi_k >= r - rho}``: ``M_j`` is
+``(-1)^(j-1)`` times the ``(j-1)``-th radial derivative of the chi density at
+``r``, not a level derivative of the chi-square density.
 """
 
 import math
@@ -17,7 +24,6 @@ from xkit.geometry import (
     LKCVector,
     Rectangle,
     ball_volume,
-    chi2_density,
     chi2_gmf,
     chi2_tail,
     density_derivative_gmf,
@@ -222,22 +228,37 @@ def test_gaussian_gmf_vanishes_at_infinity():
 # chi-square Minkowski functionals
 # ---------------------------------------------------------------------------
 
-# Frozen from symbolic differentiation of the chi-square density
-# (22 significant digits, computed independently of the implementation).
+# Frozen from sympy: M_0 = integral of the chi_k density p(r) over [sqrt(u), inf)
+# and M_j = (-1)^(j-1) p^(j-1)(sqrt(u)), at 22 significant digits.  At u = k - 1
+# the radial derivative p'(sqrt(u)) vanishes, so M_2 is exactly zero there.
 CHI2_GMF_REFS = {
+    (1, 0.7): [
+        0.4027836942464756817236,
+        0.5622597469682258462726,
+        0.4704202548174784401844,
+        -0.1686779240904677538818,
+        -1.081966586080200412424,
+    ],
     (3, 2.0): [
         0.5724067044708798339990,
-        0.2075537487102973516701,
-        0.05188843717757433791753,
-        -0.01297210929439358447938,
-        -0.04215935520677914955800,
+        0.5870506526949595995773,
+        0.0,
+        -1.174101305389919199155,
+        -0.8302149948411894066805,
     ],
     (5, 4.0): [
         0.5494159513527802326058,
-        0.1439759107018348052015,
-        0.01799698883772935065019,
-        -0.01124811802358084415637,
-        -0.01152932097417036526028,
+        0.5759036428073392208060,
+        0.0,
+        -1.151807285614678441612,
+        -0.5759036428073392208060,
+    ],
+    (8, 11.0): [
+        0.2016991987025286397400,
+        0.3758490961739444723257,
+        0.4532910653829727640251,
+        -0.06833619930435354042286,
+        -1.710143564853942700640,
     ],
 }
 
@@ -250,10 +271,12 @@ def test_chi2_gmf_symbolic_reference_values():
 
 
 def test_chi2_gmf_order_one_is_the_density():
+    # M_1 is the chi_k density at r = sqrt(u): by the change of variables
+    # r^2 = u, p_chi(r) = 2 sqrt(u) p_chi2(u)
     for k in (1, 2, 3, 5, 8):
         for u in (0.4, 2.0, 9.0):
             assert chi2_gmf(u, k, 1)[1] == pytest.approx(
-                stats.chi2(df=k).pdf(u), rel=1e-12
+                2.0 * math.sqrt(u) * stats.chi2(df=k).pdf(u), rel=1e-12
             )
 
 
@@ -266,14 +289,15 @@ def test_chi2_gmf_total_mass_at_zero():
 
 
 def test_chi2_gmf_tube_taylor_expansion():
-    # Under the density-derivative convention the series expands the upper
-    # tail in the level: sum_j rho^j/j! M_j = P{chi^2_k >= u - rho}.
+    # The series expands the Gaussian measure of the tube in its radius:
+    # sum_j rho^j/j! M_j = P{chi_k >= sqrt(u) - rho} = P{chi^2_k >= (sqrt(u) - rho)^2}.
     for k in (3, 5):
         for u in (2.0, 6.0):
             s = chi2_gmf(u, k, 14)
             for rho in (0.05, 0.25):
                 taylor = sum(rho ** j / math.factorial(j) * s[j] for j in range(15))
-                assert taylor == pytest.approx(chi2_tail(u - rho, k), abs=1e-10)
+                tube = chi2_tail((math.sqrt(u) - rho) ** 2, k)
+                assert taylor == pytest.approx(tube, abs=1e-10)
 
 
 def test_chi2_gmf_monotone_tail_in_u():
@@ -288,13 +312,16 @@ def test_chi2_gmf_monotone_tail_in_u():
 # ---------------------------------------------------------------------------
 
 def test_density_derivative_matches_chi2_closed_form():
-    levels = np.arange(0.5, 10.5, 0.5)
-    for k in (3, 5):
-        dens = lambda y, k=k: chi2_density(y, k)
-        for u in levels:
-            a = chi2_gmf(float(u), k, 4).values
-            b = density_derivative_gmf(dens, float(u), 4, k=k).values
-            np.testing.assert_allclose(b, a, atol=1e-6)
+    # The level-derivative route gives the functionals of the half line
+    # [r, inf) under N(0, 1).  For k = 1 the chi-square hitting set {z^2 >= u}
+    # is the two half lines |z| >= r = sqrt(u), whose tubes are the half lines'
+    # own tubes, so its series is twice the half line's.
+    for u in np.arange(0.5, 10.5, 0.5):
+        a = chi2_gmf(float(u), 1, 4).values
+        b = 2.0 * density_derivative_gmf(
+            lambda y: np.exp(-0.5 * np.asarray(y) ** 2) / SQRT_2PI, math.sqrt(u), 4
+        ).values
+        np.testing.assert_allclose(b, a, atol=1e-6)
 
 
 def test_density_derivative_on_gaussian_density():
