@@ -6,10 +6,14 @@ The central object is the kinematic sum
 
 combining Lipschitz-Killing curvatures of the parameter rectangle M (measured
 in the metric induced by the field) with Gaussian Minkowski functionals of
-the hitting set D.  Every closed-form field model (Gaussian, chi-square, T
-and F) hands the sum one vectorised table of EC densities over all its
-levels (see :mod:`xkit.geometry`), so one sum serves every model and every
-order.  On top of it sit high-level asymptotics, the tail-probability
+the hitting set D.  It is written once, in :func:`_kinematic_sum`, over an
+EC-density table (see :mod:`xkit.geometry`).  Every closed-form field model
+(Gaussian, chi-square, T and F) hands it one vectorised table over all its
+levels, so one sum serves every model and every order.  The public closed
+forms are fronts on the same sum: the per-level sums over a supplied
+functional series pass that series as a one-level table, the high-level
+asymptotic keeps only the top curvature, and the rectangle closed forms
+are the Gaussian model's curve.  On top of it sit the tail-probability
 approximation with its error bound, level solving for a target tail mass,
 and a ranking statistic comparing an empirical EC curve against candidate
 models.
@@ -31,24 +35,17 @@ import numpy as np
 from scipy import optimize
 
 from .fields import (
+    CovarianceModel,
     FieldModel,
     GaussianModel,
     GaussianisedModel,
-    _cov_key,
+    _check_spectral_matrix,
     _LRUCache,
     component_seed,
     simulate_model,
 )
-from .geometry import (
-    GMFSeries,
-    LKCVector,
-    Rectangle,
-    _gaussian_ec_table,
-    flag_coefficient,
-    gaussian_gmf,
-    rectangle_lkcs,
-)
-from .topology import ECCurve, ec_curve
+from .geometry import GMFSeries, LKCVector, Rectangle, _gaussian_ec_table, flag_coefficient
+from .topology import ECCurve, _check_levels, ec_curve
 
 __all__ = [
     "CapabilityError",
@@ -92,6 +89,28 @@ class QuadratureError(RuntimeError):
 # kinematic sums
 # ---------------------------------------------------------------------------
 
+def _kinematic_sum(lkcs: LKCVector, table, i: int):
+    """E L_i of ``{f >= u}`` from an EC-density table (see :mod:`xkit.geometry`).
+
+    With ``table = (tail, envelope, [P_1, ..., P_J])``, ``J >= dim - i``, the
+    sum is grouped as
+
+        flag(i, 0) L_i tail
+          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] P_j envelope
+
+    so that the Gaussian order-0 curve is the rectangle closed form
+    ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.  A series of Gaussian
+    Minkowski functionals ``(M_0, ..., M_J)`` is the one-level table
+    ``(M_0, sqrt(2 pi), [M_1, ..., M_J])``.  A scalar level gives a float.
+    """
+    tail, envelope, polys = table
+    acc = flag_coefficient(i, 0) * lkcs[i] * tail
+    for j in range(1, lkcs.dim - i + 1):
+        coef = flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-(j + 1) / 2.0)
+        acc = acc + coef * polys[j - 1] * envelope
+    return float(acc) if np.ndim(acc) == 0 else acc
+
+
 def expected_lkc_general(lkcs_M: LKCVector, gmfs_D: GMFSeries, i: int) -> float:
     """Kinematic sum for E L_i of an excursion set, metric LKCs supplied.
 
@@ -108,13 +127,11 @@ def expected_lkc_general(lkcs_M: LKCVector, gmfs_D: GMFSeries, i: int) -> float:
             f"GMF series of order {gmfs_D.max_order} cannot evaluate E L_{i} "
             f"on a {dim}-dimensional domain (needs order {needed})"
         )
-    total = 0.0
-    for j in range(needed + 1):
-        lk = lkcs_M[i + j]
-        if math.isnan(lk):
-            raise ValueError(f"L_{i + j} of the domain is unavailable (NaN)")
-        total += flag_coefficient(i + j, j) * TWO_PI ** (-j / 2.0) * lk * gmfs_D[j]
-    return total
+    for k in range(i, dim + 1):
+        if math.isnan(lkcs_M[k]):
+            raise ValueError(f"L_{k} of the domain is unavailable (NaN)")
+    gmf = gmfs_D.values
+    return _kinematic_sum(lkcs_M, (gmf[0], math.sqrt(TWO_PI), gmf[1:]), i)
 
 
 def expected_lkc_isotropic(
@@ -128,12 +145,8 @@ def expected_lkc_isotropic(
     """
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    return expected_lkc_general(_isotropic_lkcs(lkcs_M, lambda2), gmfs_D, i)
-
-
-def _isotropic_lkcs(lkcs: LKCVector, lambda2: float) -> LKCVector:
-    """Curvatures in the metric of an isotropic field: ``lambda2^(k/2) L_k``."""
-    return LKCVector(np.array([lambda2 ** (k / 2.0) * lkcs[k] for k in range(lkcs.dim + 1)]))
+    scaled = [lambda2 ** (k / 2.0) * lkcs_M[k] for k in range(lkcs_M.dim + 1)]
+    return expected_lkc_general(LKCVector(np.array(scaled)), gmfs_D, i)
 
 
 def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
@@ -144,17 +157,13 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
     For ``Lambda = lambda2 * I`` this reduces to ``lambda2^(k/2)`` times the
     ordinary rectangle curvatures.
     """
-    spectral = np.asarray(spectral, dtype=float)
     dim = rect.dim
-    if spectral.shape != (dim, dim):
+    if np.shape(spectral) != (dim, dim):
         raise ValueError(
-            f"spectral matrix shape {spectral.shape} does not match a "
+            f"spectral matrix shape {np.shape(spectral)} does not match a "
             f"{dim}-dimensional rectangle"
         )
-    if not np.allclose(spectral, spectral.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("spectral-moment matrix must be symmetric")
-    if np.any(np.linalg.eigvalsh(spectral) <= 0):
-        raise ValueError("spectral-moment matrix must be positive definite")
+    spectral = _check_spectral_matrix(spectral)
     values = np.zeros(dim + 1)
     values[0] = 1.0
     for k in range(1, dim + 1):
@@ -171,47 +180,28 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
 # Gaussian rectangle closed forms
 # ---------------------------------------------------------------------------
 
-def _kinematic_sum(lkcs: LKCVector, table, i: int):
-    """E L_i of ``{f >= u}`` from an EC-density table (see :mod:`xkit.geometry`).
-
-    With ``table = (tail, envelope, [P_1, ..., P_J])``, ``J >= dim - i``, the
-    sum is grouped as
-
-        flag(i, 0) L_i tail
-          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] P_j envelope
-
-    so that the Gaussian order-0 curve is the rectangle closed form
-    ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.  A scalar level gives a float.
-    """
-    tail, envelope, polys = table
-    acc = flag_coefficient(i, 0) * lkcs[i] * tail
-    for j in range(1, lkcs.dim - i + 1):
-        coef = flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-(j + 1) / 2.0)
-        acc = acc + coef * polys[j - 1] * envelope
-    return float(acc) if np.ndim(acc) == 0 else acc
-
-
 def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: float, u):
     """Expected EC of ``{f >= u}`` for an isotropic Gaussian field on a rectangle.
 
     ``sigma2`` is the field variance and ``lambda2`` the raw second spectral
     moment (derivative variance); the sum carries ``(lambda2/sigma2)^(k/2)``
     so that only the unit-variance roughness enters.  Accepts scalar or
-    array levels.
+    array levels; the values are those of :func:`expected_ec_curve` for the
+    matching :class:`~xkit.fields.GaussianModel`, bit for bit.
     """
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
-    scaled = _isotropic_lkcs(rectangle_lkcs(rect), lambda2 / sigma2)
-    z = np.asarray(u, dtype=float) / math.sqrt(sigma2)
-    return _kinematic_sum(scaled, _gaussian_ec_table(z, rect.dim), 0)
+    model = GaussianModel(CovarianceModel(variance=sigma2, lambda2=lambda2 / sigma2))
+    return _expected_values(model, rect, np.asarray(u, dtype=float), 0, None, 0, 1)
 
 
 def expected_ec_stationary_rectangle(rect: Rectangle, spectral: np.ndarray, u):
     """Expected EC for a unit-variance stationary Gaussian field with
     spectral-moment matrix ``spectral`` (anisotropy allowed)."""
-    return _kinematic_sum(metric_rectangle_lkcs(rect, spectral), _gaussian_ec_table(u, rect.dim), 0)
+    model = GaussianModel(CovarianceModel(matrix=spectral))
+    return _expected_values(model, rect, np.asarray(u, dtype=float), 0, None, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +285,9 @@ def expected_lkc_high_level(
         top = top_lkc_quadrature(rect, metric)
     if not 0 <= i <= dim:
         raise ValueError(f"order i must lie in 0..{dim}, got {i}")
-    j = dim - i
-    gmf = gaussian_gmf(u, j)
-    return flag_coefficient(dim, j) * TWO_PI ** (-j / 2.0) * top * gmf[j]
+    top_only = np.zeros(dim + 1)
+    top_only[dim] = top
+    return _kinematic_sum(LKCVector(top_only), _gaussian_ec_table(u, dim - i), i)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +323,7 @@ def _gaussianised_curve_values(
             f"rectangle {rect.sides}; lattice fields use one spacing"
         )
     spacing = spacings[0]
-    # The repr names the base class and every field of the base model (the
-    # chi-square ``standardized`` flag among them); a spectral matrix, which the
-    # repr omits, enters through its bytes.
-    key = (repr(model), _cov_key(model.cov), sim_shape, spacing, levels.tobytes(), reps)
+    key = (model, sim_shape, spacing, levels.tobytes(), reps)
 
     def one(rep: int) -> np.ndarray:
         f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
@@ -407,11 +394,7 @@ def expected_ec_curve(
     over the levels; gaussianised models a cached simulation average on a
     ``sim_shape`` lattice.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValueError("levels must be a non-empty 1-d array")
-    if np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing")
+    levels = _check_levels(levels)
     values = _expected_values(model, domain, levels, order, sim_shape, sim_reps, jobs)
     meta = {
         "model": model.name,
@@ -442,22 +425,22 @@ def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
     return metric_rectangle_lkcs(domain, model.cov.spectral_matrix(domain.dim))
 
 
-def _scan_curve(model: FieldModel, domain: Rectangle | LKCVector):
+def _peak(model: FieldModel, lkcs: LKCVector) -> tuple[float, float]:
+    """Level and value of the last stationary point of the expected-EC curve.
+
+    The curve is scanned from 0 to 20 marginal scales past the marginal's
+    location, a hundredth of a scale apart; a scan without a turn gives its
+    first level.
+    """
     loc, scale = model._window()
     step = 0.01 * max(1.0, scale)
     grid = np.arange(0.0, loc + 20.0 * scale + step, step)
-    values = _expected_values(model, domain, grid, 0, None, 0, 1)
-    return grid, values
-
-
-def _largest_stationary_index(values: np.ndarray) -> int:
-    diffs = np.diff(values)
-    signs = np.sign(diffs)
+    values = _expected_values(model, lkcs, grid, 0, None, 0, 1)
+    signs = np.sign(np.diff(values))
     signs[signs == 0] = 1.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
-    if flips.size == 0:
-        return 0
-    return int(flips[-1] + 1)
+    index = int(flips[-1] + 1) if flips.size else 0
+    return float(grid[index]), float(values[index])
 
 
 # Critical variance sigma_c^2 = sup Var(f(s) | f(t), grad f(t)) / (1 - r)^2 of a
@@ -486,8 +469,7 @@ def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
     the heuristic does not approximate the tail probability.
     """
     lkcs = _metric_lkcs(model, domain)
-    grid, values = _scan_curve(model, lkcs)
-    peak = grid[_largest_stationary_index(values)]
+    peak, _ = _peak(model, lkcs)
     approx = float(_expected_values(model, lkcs, np.array([u]), 0, None, 0, 1)[0])
     if u < peak:
         warnings.warn(
@@ -536,10 +518,7 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
             "gaussianised curves are simulation averages"
         )
     lkcs = _metric_lkcs(model, domain)
-    grid, values = _scan_curve(model, lkcs)
-    peak_idx = _largest_stationary_index(values)
-    peak_u = float(grid[peak_idx])
-    peak_value = float(values[peak_idx])
+    peak_u, peak_value = _peak(model, lkcs)
     if alpha >= peak_value:
         raise NoSolutionError(
             f"alpha={alpha:g} is not attainable: the expected EC is already "

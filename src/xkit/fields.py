@@ -102,14 +102,19 @@ class CovarianceModel:
         ):
             raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
         if self.matrix is not None:
-            m = np.asarray(self.matrix, dtype=float)
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError("spectral-moment matrix must be square")
-            if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
-                raise ValueError("spectral-moment matrix must be symmetric")
-            if np.any(np.linalg.eigvalsh(m) <= 0):
-                raise ValueError("spectral-moment matrix must be positive definite")
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", _check_spectral_matrix(self.matrix))
+
+    # Value semantics: a matrix enters through its bytes, so models holding
+    # equal matrices compare equal, hash alike and share cache entries.
+    def _key(self) -> tuple:
+        rough = self.lambda2 if self.matrix is None else self.matrix.tobytes()
+        return self.variance, rough
+
+    def __eq__(self, other):
+        return isinstance(other, CovarianceModel) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def isotropic(self) -> bool:
@@ -131,6 +136,18 @@ class CovarianceModel:
         lam = self.spectral_matrix(lags.shape[-1])
         quad = np.einsum("...i,ij,...j->...", lags, lam, lags)
         return np.exp(-0.5 * quad)
+
+
+def _check_spectral_matrix(matrix) -> np.ndarray:
+    """``matrix`` as a float array, checked square, symmetric and positive definite."""
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("spectral-moment matrix must be square")
+    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+        raise ValueError("spectral-moment matrix must be symmetric")
+    if np.any(np.linalg.eigvalsh(m) <= 0):
+        raise ValueError("spectral-moment matrix must be positive definite")
+    return m
 
 
 def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
@@ -250,8 +267,11 @@ class FFieldModel:
         return f"f:{self.n}:{self.m}"
 
     def _window(self) -> tuple[float, float]:
-        spread = stats.f(self.n, self.m).std() if self.m > 4 else 3.0
-        return 1.0, max(1.0, float(spread))
+        n, m = self.n, self.m
+        if m <= 4:
+            return 1.0, 3.0
+        # the standard deviation of the F(n, m) law, finite for m > 4
+        return 1.0, max(1.0, math.sqrt(2 * m * m * (n + m - 2) / (n * (m - 2) ** 2 * (m - 4))))
 
     def _ec_densities(self, levels: np.ndarray, max_order: int):
         return _f_ec_table(levels, self.n, self.m, max_order)
@@ -422,13 +442,6 @@ class _LRUCache:
 _amplitudes = _LRUCache(maxsize=8)
 
 
-def _cov_key(cov: CovarianceModel) -> tuple:
-    """A hashable key that tells covariance models apart (matrices by bytes)."""
-    if cov.matrix is not None:
-        return ("matrix", cov.variance, cov.matrix.tobytes())
-    return ("iso", cov.variance, cov.lambda2)
-
-
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     """Torus sizes and the noise amplitude ``sqrt(lam / torus size)``, cached."""
 
@@ -436,7 +449,7 @@ def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
         sizes, lam = _torus_spectrum(cov, shape, spacing)
         return sizes, np.sqrt(lam / float(np.prod(sizes)))
 
-    return _amplitudes.get((_cov_key(cov), shape, spacing), build)
+    return _amplitudes.get((cov, shape, spacing), build)
 
 
 def _circulant_draw(

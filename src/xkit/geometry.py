@@ -10,7 +10,8 @@ quantities that every expected-topology formula is built from:
   rectangles, together with the Steiner tube-volume expansion,
 * Gaussian Minkowski functionals of hitting sets (the Taylor coefficients
   of the Gaussian measure of their tubes) for the Gaussian half line and
-  the chi-square ball complement, plus a numerical half-line route,
+  the chi-square ball complement, read off one-level EC-density tables,
+  plus a numerical half-line route,
 * EC-density tables ``(tail, envelope, [P_1..P_J])`` of the Gaussian,
   chi-square, Student-t and F marginals over arrays of levels: the density
   of order ``j >= 1`` is ``(2 pi)^(-(j+1)/2) P_j envelope``, that of order 0
@@ -36,7 +37,6 @@ __all__ = [
     "ball_volume",
     "flag_coefficient",
     "hermite",
-    "gaussian_density",
     "gaussian_tail",
     "chi2_tail",
     "rectangle_lkcs",
@@ -70,13 +70,6 @@ def flag_coefficient(n: int, j: int) -> float:
     if j < 0 or n < j:
         raise ValueError(f"flag coefficient needs 0 <= j <= n, got n={n}, j={j}")
     return math.comb(n, j) * ball_volume(n) / (ball_volume(n - j) * ball_volume(j))
-
-
-def gaussian_density(x):
-    """Standard normal density ``phi(x)``."""
-    x = np.asarray(x, dtype=float)
-    out = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return out if out.ndim else float(out)
 
 
 def gaussian_tail(x):
@@ -265,13 +258,7 @@ def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    u = float(u)
-    values = np.empty(max_order + 1)
-    values[0] = gaussian_tail(u)
-    dens = gaussian_density(u)
-    for j in range(1, max_order + 1):
-        values[j] = hermite(j - 1, u) * dens
-    return GMFSeries(k=1, values=values)
+    return _gmf_series(_gaussian_ec_table(np.array([float(u)]), max_order), 1)
 
 
 def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
@@ -293,7 +280,13 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    tail, envelope, polys = _chi2_ec_table(np.array([float(u)]), k, max_order)
+    return _gmf_series(_chi2_ec_table(np.array([float(u)]), k, max_order), k)
+
+
+def _gmf_series(table, k: int) -> GMFSeries:
+    """The functionals ``M_0 = tail`` and ``M_j = (2 pi)^(-1/2) P_j envelope``
+    of a one-level EC-density table, for a hitting set in ``R^k``."""
+    tail, envelope, polys = table
     values = [tail[0]] + [p[0] * envelope[0] / math.sqrt(2.0 * math.pi) for p in polys]
     return GMFSeries(k=k, values=np.array(values))
 
@@ -411,7 +404,7 @@ def density_derivative_gmf(density, u: float, max_order: int, k: int = 1) -> GMF
     expected-curve route uses this function.
 
     ``density`` must be vectorised over numpy arrays (the scipy.stats pdf
-    methods and the module's own densities all qualify).
+    methods qualify).
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")

@@ -72,6 +72,16 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _check_levels(levels) -> np.ndarray:
+    """``levels`` as a float array, checked non-empty, 1-d and strictly increasing."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError("levels must be a non-empty 1-d array")
+    if np.any(np.diff(levels) <= 0):
+        raise ValueError("levels must be strictly increasing")
+    return levels
+
+
 def _reduce_along(arr: np.ndarray, axis: int, op) -> np.ndarray:
     lead = (slice(None),) * axis
     return op(arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)])
@@ -130,16 +140,12 @@ class ECCurve:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=float)
+        levels = _check_levels(self.levels)
         values = np.asarray(self.values, dtype=float)
-        if levels.ndim != 1 or levels.size == 0:
-            raise ValueError("levels must be a non-empty 1-d array")
         if values.shape != levels.shape:
             raise ValueError("levels and values must have matching shapes")
         if not np.all(np.isfinite(levels)) or not np.all(np.isfinite(values)):
             raise ValueError("levels and values must be finite")
-        if np.any(np.diff(levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
         if self.kind not in ("empirical", "expected"):
             raise ValueError(f"kind must be 'empirical' or 'expected', got {self.kind!r}")
         object.__setattr__(self, "levels", levels)
@@ -174,11 +180,7 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     :func:`xkit.fields.simulate_gaussian` is a condition of the sampler, not
     a bound on this bias.
     """
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValueError("levels must be a non-empty 1-d array")
-    if np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing")
+    levels = _check_levels(levels)
     values = field.values
     if not 1 <= values.ndim <= _MAX_DIM:
         raise ValueError(f"unsupported dimension {values.ndim}")

@@ -55,6 +55,7 @@ from xkit.geometry import (
     LKCVector,
     Rectangle,
     chi2_gmf,
+    flag_coefficient,
     gaussian_gmf,
     hermite,
     rectangle_lkcs,
@@ -641,6 +642,13 @@ def test_criterion_8_property_suites():
     # curvatures, and each one-hot domain term factorises as (level factor) x
     # (domain factor) -- doubling the curvature doubles the term exactly, and
     # the u-dependence of the term matches the corresponding functional ratio.
+    # Each term also equals the GMF-form sum written out here.
+    def gmf_form_sum(lkcs, gmfs, i):
+        return sum(
+            flag_coefficient(i + j, j) * (2.0 * math.pi) ** (-j / 2.0) * lkcs[i + j] * gmfs[j]
+            for j in range(lkcs.dim - i + 1)
+        )
+
     sep_ok = True
     for m in range(4):
         one_hot = np.zeros(4)
@@ -656,6 +664,9 @@ def test_criterion_8_property_suites():
             m1 = gaussian_gmf(1.3, 3).values[j]
             m0 = gaussian_gmf(0.4, 3).values[j]
             sep_ok &= math.isclose(t1 * m0, u1 * m1, rel_tol=1e-12)
+            for value, u in ((t1, 1.3), (u1, 0.4)):
+                reference = gmf_form_sum(lkcs, gaussian_gmf(u, 3), i)
+                sep_ok &= math.isclose(value, reference, rel_tol=1e-12)
     notes.append(f"separation {'ok' if sep_ok else 'BAD'}")
 
     # Hermite recurrence H_(n+1) = x H_n - n H_(n-1) on a grid.

@@ -44,6 +44,7 @@ from xkit.geometry import (
     LKCVector,
     Rectangle,
     chi2_gmf,
+    flag_coefficient,
     gaussian_gmf,
     gaussian_tail,
     rectangle_lkcs,
@@ -54,11 +55,25 @@ COV200 = CovarianceModel(variance=1.0, lambda2=200.0)
 COV880 = CovarianceModel(variance=1.0, lambda2=880.0)
 SQUARE = Rectangle((1.0, 1.0))
 CUBE = Rectangle((1.0, 1.0, 1.0))
+# an anisotropic spectral-moment matrix per dimension
+SPECTRAL = {
+    1: np.array([[90.0]]),
+    2: np.array([[100.0, 20.0], [20.0, 60.0]]),
+    3: np.array([[100.0, 10.0, 0.0], [10.0, 80.0, 5.0], [0.0, 5.0, 60.0]]),
+}
 
 
 # ---------------------------------------------------------------------------
 # kinematic sums
 # ---------------------------------------------------------------------------
+
+def _gmf_form_sum(lkcs, gmfs, i):
+    """Reference E L_i: sum_j flag(i+j, j) (2 pi)^(-j/2) L_(i+j) M_j, level by level."""
+    return sum(
+        flag_coefficient(i + j, j) * (2.0 * math.pi) ** (-j / 2.0) * lkcs[i + j] * gmfs[j]
+        for j in range(lkcs.dim - i + 1)
+    )
+
 
 def test_full_space_hitting_set_gives_one():
     # D = everything: M_0 = 1 and all higher functionals vanish, so the
@@ -135,21 +150,16 @@ def test_order_one_gaussian_curve_hand_formula():
 
 
 def test_gaussian_curve_every_order_matches_per_level_kinematic_sum():
-    # the vectorised Gaussian sum against the generic route, one level at a
-    # time: metric LKCs with the Gaussian functionals of [z, inf), z = u / sigma
+    # the vectorised Gaussian sum against the GMF-form sum written out here, one
+    # level at a time: metric LKCs with the functionals of [z, inf), z = u / sigma
     levels = np.linspace(-4.0, 6.0, 41)
-    matrices = {
-        1: np.array([[90.0]]),
-        2: np.array([[100.0, 20.0], [20.0, 60.0]]),
-        3: np.array([[100.0, 10.0, 0.0], [10.0, 80.0, 5.0], [0.0, 5.0, 60.0]]),
-    }
     for rect in (Rectangle((1.3,)), Rectangle((1.0, 0.7)), Rectangle((1.0, 0.8, 1.2))):
         dim = rect.dim
         covs = [
             COV200,
-            CovarianceModel(variance=1.0, matrix=matrices[dim]),
+            CovarianceModel(variance=1.0, matrix=SPECTRAL[dim]),
             CovarianceModel(variance=4.0, lambda2=50.0),
-            CovarianceModel(variance=0.5, matrix=matrices[dim]),
+            CovarianceModel(variance=0.5, matrix=SPECTRAL[dim]),
         ]
         for cov in covs:
             lkcs = metric_rectangle_lkcs(rect, cov.spectral_matrix(dim))
@@ -157,7 +167,7 @@ def test_gaussian_curve_every_order_matches_per_level_kinematic_sum():
             for i in range(dim + 1):
                 curve = expected_ec_curve(GaussianModel(cov=cov), rect, levels, order=i)
                 per_level = np.array(
-                    [expected_lkc_general(lkcs, gaussian_gmf(zz, dim - i), i) for zz in z]
+                    [_gmf_form_sum(lkcs, gaussian_gmf(zz, dim - i), i) for zz in z]
                 )
                 gap = np.abs(curve.values - per_level).max()
                 assert gap <= 1e-12 * np.abs(per_level).max(), (dim, cov, i, gap)
@@ -241,6 +251,26 @@ def test_axis_permutation_invariance():
         assert expected_ec_stationary_rectangle(rect, mat, u) == pytest.approx(
             expected_ec_stationary_rectangle(rect_p, perm, u), rel=1e-14
         )
+
+
+def test_rectangle_closed_forms_are_the_gaussian_model_curve():
+    # the public closed forms and the model route share one code path, so
+    # they agree bit for bit at scalar and array levels
+    levels = np.linspace(-4.0, 6.0, 51)
+    for rect in (Rectangle((1.3,)), Rectangle((1.0, 0.7)), Rectangle((1.0, 0.8, 1.2))):
+        for s2, lam in ((1.0, 200.0), (4.0, 80.0)):
+            cov = CovarianceModel(variance=s2, lambda2=lam / s2)
+            curve = expected_ec_curve(GaussianModel(cov), rect, levels).values
+            scalar = [expected_ec_gaussian_rectangle(rect, s2, lam, u) for u in levels]
+            assert all(type(v) is float for v in scalar)
+            assert np.array_equal(scalar, curve)
+            assert np.array_equal(expected_ec_gaussian_rectangle(rect, s2, lam, levels), curve)
+        spectral = SPECTRAL[rect.dim]
+        cov = CovarianceModel(variance=1.0, matrix=spectral)
+        curve = expected_ec_curve(GaussianModel(cov), rect, levels).values
+        scalar = [expected_ec_stationary_rectangle(rect, spectral, u) for u in levels]
+        assert np.array_equal(scalar, curve)
+        assert np.array_equal(expected_ec_stationary_rectangle(rect, spectral, levels), curve)
 
 
 def test_metric_rectangle_lkcs_isotropic_scaling():
@@ -438,7 +468,7 @@ def test_expected_curve_chisq_shape():
 
 
 def test_expected_curve_chisq_dual_route():
-    # the vectorised curve of every order against the per-level kinematic sum
+    # the vectorised curve of every order against the per-level GMF-form sum
     # over the public chi2_gmf series, and the order-0 curve against Worsley
     model = ChiSquaredModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=20.0))
     levels = np.array([1.0, 3.0, 5.0, 8.0, 12.0])
@@ -446,7 +476,7 @@ def test_expected_curve_chisq_dual_route():
     for order in range(4):
         exact = expected_ec_curve(model, CUBE, levels, order=order).values
         alt = np.array(
-            [expected_lkc_general(lk, chi2_gmf(u, 5, 3 - order), order) for u in levels]
+            [_gmf_form_sum(lk, chi2_gmf(u, 5, 3 - order), order) for u in levels]
         )
         np.testing.assert_allclose(exact, alt, rtol=1e-12)
         if order == 0:

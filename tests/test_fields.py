@@ -75,6 +75,34 @@ def test_spectral_matrix_dimension_guard():
     assert np.array_equal(COV20.spectral_matrix(3), 20.0 * np.eye(3))
 
 
+def test_covariance_models_compare_and_hash_by_value():
+    spectral = np.array([[200.0, 50.0], [50.0, 300.0]])
+    a = CovarianceModel(variance=1.0, matrix=spectral)
+    b = CovarianceModel(variance=1.0, matrix=spectral.copy())
+    assert a == b and hash(a) == hash(b)
+    assert a != CovarianceModel(variance=1.0, matrix=np.diag([200.0, 300.0]))
+    assert a != CovarianceModel(variance=2.0, matrix=spectral)
+    assert COV20 != CovarianceModel(variance=1.0, matrix=20.0 * np.eye(2))
+    assert GaussianModel(a) == GaussianModel(b) and hash(GaussianModel(a)) == hash(GaussianModel(b))
+    assert ChiSquaredModel(k=3, cov=a) != ChiSquaredModel(k=3, cov=b, standardized=True)
+    assert len({GaussianModel(a), GaussianModel(b), GaussianModel(COV20)}) == 2
+    # equal covariances share one embedding amplitude
+    fields_mod._amplitudes.clear()
+    first = simulate_gaussian(a, (32, 32), 0.02, 3)
+    second = simulate_gaussian(b, (32, 32), 0.02, 3)
+    assert len(fields_mod._amplitudes) == 1
+    np.testing.assert_array_equal(first.values, second.values)
+
+
+def test_f_window_scale_is_the_f_law_standard_deviation():
+    # the closed form sqrt(2 m^2 (n+m-2) / (n (m-2)^2 (m-4))) is scipy's, bit for bit
+    for n in range(1, 30):
+        for m in range(5, 60):
+            _, scale = FFieldModel(n=n, m=m, cov=COV20)._window()
+            assert scale == max(1.0, float(stats.f(n, m).std())), (n, m)
+    assert FFieldModel(n=3, m=4, cov=COV20)._window() == (1.0, 3.0)
+
+
 def test_model_name_strings_and_guards():
     assert GaussianModel(COV20).name == "gaussian"
     assert ChiSquaredModel(k=5, cov=COV20).name == "chisq:5"

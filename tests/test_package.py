@@ -1,0 +1,32 @@
+"""The package's public surface."""
+
+import xkit
+
+PUBLIC = {
+    # geometry
+    "GMFSeries", "LKCVector", "Rectangle", "ball_volume", "chi2_gmf",
+    "density_derivative_gmf", "flag_coefficient", "gaussian_gmf", "gaussian_tail",
+    "hermite", "rectangle_lkcs", "tube_volume_rectangle",
+    # fields
+    "ChiSquaredModel", "CovarianceModel", "FFieldModel", "FieldFormatError",
+    "GaussianModel", "GaussianisedModel", "LatticeField", "SimulationError",
+    "TFieldModel", "component_seed", "estimate_spectral_moments", "gaussianise",
+    "read_field", "simulate_gaussian", "simulate_model", "write_field",
+    # topology
+    "CurveFormatError", "ECCurve", "ec_curve", "euler_characteristic",
+    "excursion_mask", "face_counts", "geometric_measures", "read_ec_csv", "write_ec_csv",
+    # expectations
+    "CapabilityError", "NoSolutionError", "QuadratureError", "ThresholdResult",
+    "excursion_probability", "expected_ec_curve", "expected_ec_gaussian_rectangle",
+    "expected_ec_stationary_rectangle", "expected_lkc_general", "expected_lkc_high_level",
+    "expected_lkc_isotropic", "identify_model", "metric_rectangle_lkcs", "threshold",
+    "top_lkc_quadrature",
+    "__version__",
+}
+
+
+def test_public_names_are_pinned():
+    assert len(xkit.__all__) == len(set(xkit.__all__))
+    assert set(xkit.__all__) == PUBLIC
+    for name in xkit.__all__:
+        assert hasattr(xkit, name), name
