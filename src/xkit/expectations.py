@@ -8,7 +8,8 @@ combining Lipschitz-Killing curvatures of the parameter rectangle M (measured
 in the metric induced by the field) with Gaussian Minkowski functionals of
 the hitting set D.  It is written once, in :func:`_kinematic_sum`, over an
 EC-density table (see :mod:`xkit.geometry`).  Every closed-form field model
-(Gaussian, chi-square, T and F) hands it one vectorised table over all its
+(Gaussian, chi-square, T and F) reaches it through one call,
+:func:`_closed_form`, which hands it the model's vectorised table over all
 levels, so one sum serves every model and every order.  The public closed
 forms are fronts on the same sum: the per-level sums over a supplied
 functional series pass that series as a one-level table, the high-level
@@ -20,11 +21,14 @@ models.
 
 Expected curves for gaussianised models have no closed form; they are
 produced by averaging simulated curves under a fixed internal seed schedule
-(decoupled from any user data seed) and cached per parameter set.
+(decoupled from any user data seed), summed in realisation order over a
+thread pool, and held in a bounded ``functools.lru_cache``.  Tail
+probabilities and thresholds need the closed form and refuse these models.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -32,7 +36,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .fields import (
     CovarianceModel,
@@ -40,7 +43,6 @@ from .fields import (
     GaussianModel,
     GaussianisedModel,
     _check_spectral_matrix,
-    _LRUCache,
     component_seed,
     simulate_model,
 )
@@ -194,14 +196,14 @@ def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: floa
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
     model = GaussianModel(CovarianceModel(variance=sigma2, lambda2=lambda2 / sigma2))
-    return _expected_values(model, rect, np.asarray(u, dtype=float), 0, None, 0, 1)
+    return _closed_form(model, _metric_lkcs(model, rect), np.asarray(u, dtype=float))
 
 
 def expected_ec_stationary_rectangle(rect: Rectangle, spectral: np.ndarray, u):
     """Expected EC for a unit-variance stationary Gaussian field with
     spectral-moment matrix ``spectral`` (anisotropy allowed)."""
     model = GaussianModel(CovarianceModel(matrix=spectral))
-    return _expected_values(model, rect, np.asarray(u, dtype=float), 0, None, 0, 1)
+    return _closed_form(model, _metric_lkcs(model, rect), np.asarray(u, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -294,20 +296,65 @@ def expected_lkc_high_level(
 # expected curves for field models
 # ---------------------------------------------------------------------------
 
+def _closed_form(model: FieldModel, lkcs: LKCVector, levels: np.ndarray, order: int = 0):
+    """E L_order of ``{f >= u}`` at each level from the model's EC-density table.
+
+    ``lkcs`` are the domain's curvatures in the model's metric (see
+    :func:`_metric_lkcs`), so a root finder pays for them once, not per level.
+    """
+    return _kinematic_sum(lkcs, model._ec_densities(levels, lkcs.dim - order), order)
+
+
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
-# the roughness add a key per request; the bound keeps that memory fixed.
-_gaussianised_curve_cache = _LRUCache(maxsize=32)
-
-
-def _gaussianised_curve_values(
+# the roughness add a key per request; the bound keeps that memory fixed.  The
+# key also holds ``jobs``, which never changes the curve: EC values are
+# integers, so every partial sum is exact.  No CLI run varies ``jobs`` within
+# one process, so this costs no hits.
+@functools.lru_cache(maxsize=32)
+def _simulation_average(
     model: GaussianisedModel,
-    rect: Rectangle,
-    levels: np.ndarray,
-    sim_shape: tuple[int, ...] | None,
+    sim_shape: tuple[int, ...],
+    spacing: float,
+    level_bytes: bytes,
     reps: int,
     jobs: int,
 ) -> np.ndarray:
+    levels = np.frombuffer(level_bytes)
+
+    def one(rep: int) -> np.ndarray:
+        f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
+        return ec_curve(f, levels).values
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
+
+
+def _expected_values(
+    model: FieldModel,
+    rect: Rectangle,
+    levels: np.ndarray,
+    order: int,
+    sim_shape: tuple[int, ...] | None,
+    sim_reps: int,
+    jobs: int,
+) -> np.ndarray:
+    """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
+
+    Gaussian, chi-square, T and F fields take the kinematic sum over the EC
+    densities their ``_ec_densities`` hook tabulates for all levels at once;
+    gaussianised fields, which have no closed form, a cached simulation
+    average on a ``sim_shape`` lattice.
+    """
     dim = rect.dim
+    if not 0 <= order <= dim:
+        raise ValueError(f"order must lie in 0..{dim}, got {order}")
+    if not isinstance(model, GaussianisedModel):
+        return _closed_form(model, _metric_lkcs(model, rect), levels, order)
+    if order != 0:
+        raise CapabilityError(
+            "expected curvatures of gaussianised fields are only available "
+            "for order 0 (EC), via simulation averaging"
+        )
     if sim_shape is None:
         raise ValueError(
             "a gaussianised expected curve needs sim_shape (its curve is a "
@@ -322,59 +369,8 @@ def _gaussianised_curve_values(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
             f"rectangle {rect.sides}; lattice fields use one spacing"
         )
-    spacing = spacings[0]
-    key = (model, sim_shape, spacing, levels.tobytes(), reps)
-
-    def one(rep: int) -> np.ndarray:
-        f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
-        return ec_curve(f, levels).values
-
-    def average() -> np.ndarray:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                curves = list(pool.map(one, range(reps)))
-        else:
-            curves = [one(rep) for rep in range(reps)]
-        # ordered reduction: summation order is fixed by rep index regardless of jobs
-        total = np.zeros(levels.size)
-        for values in curves:
-            total += values
-        return total / reps
-
-    return _gaussianised_curve_cache.get(key, average).copy()
-
-
-def _expected_values(
-    model: FieldModel,
-    rect: Rectangle | LKCVector,
-    levels: np.ndarray,
-    order: int,
-    sim_shape: tuple[int, ...] | None,
-    sim_reps: int,
-    jobs: int,
-) -> np.ndarray:
-    """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
-
-    Gaussian, chi-square, T and F fields take the kinematic sum over the EC
-    densities their ``_ec_densities`` hook tabulates for all levels at once;
-    gaussianised fields, which have no closed form, a cached simulation
-    average.  For the closed forms ``rect`` may be the domain's curvatures
-    already in the model's metric (see :func:`_metric_lkcs`), so that a root
-    finder pays for them once rather than per level.
-    """
-    dim = rect.dim
-    if not 0 <= order <= dim:
-        raise ValueError(f"order must lie in 0..{dim}, got {order}")
-    if isinstance(model, GaussianisedModel):
-        if order != 0:
-            raise CapabilityError(
-                "expected curvatures of gaussianised fields are only available "
-                "for order 0 (EC), via simulation averaging"
-            )
-        return _gaussianised_curve_values(model, rect, levels, sim_shape, sim_reps, jobs)
-
-    lkcs = _metric_lkcs(model, rect) if isinstance(rect, Rectangle) else rect
-    return _kinematic_sum(lkcs, model._ec_densities(levels, dim - order), order)
+    average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)
+    return average.copy()
 
 
 def expected_ec_curve(
@@ -421,7 +417,16 @@ def expected_ec_curve(
 # ---------------------------------------------------------------------------
 
 def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
-    """The domain's Lipschitz-Killing curvatures in the metric of the model's field."""
+    """The domain's Lipschitz-Killing curvatures in the metric of the model's field.
+
+    A gaussianised field's metric is not that of its base's components, and
+    its expected curve is a simulation average, so it is refused here.
+    """
+    if isinstance(model, GaussianisedModel):
+        raise CapabilityError(
+            "threshold solving needs a deterministic expected-EC evaluator; "
+            "gaussianised curves are simulation averages"
+        )
     return metric_rectangle_lkcs(domain, model.cov.spectral_matrix(domain.dim))
 
 
@@ -435,7 +440,7 @@ def _peak(model: FieldModel, lkcs: LKCVector) -> tuple[float, float]:
     loc, scale = model._window()
     step = 0.01 * max(1.0, scale)
     grid = np.arange(0.0, loc + 20.0 * scale + step, step)
-    values = _expected_values(model, lkcs, grid, 0, None, 0, 1)
+    values = _closed_form(model, lkcs, grid)
     signs = np.sign(np.diff(values))
     signs[signs == 0] = 1.0
     flips = np.nonzero(signs[1:] != signs[:-1])[0]
@@ -470,7 +475,7 @@ def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
     """
     lkcs = _metric_lkcs(model, domain)
     peak, _ = _peak(model, lkcs)
-    approx = float(_expected_values(model, lkcs, np.array([u]), 0, None, 0, 1)[0])
+    approx = float(_closed_form(model, lkcs, np.array([u]))[0])
     if u < peak:
         warnings.warn(
             f"level {u:g} is below the expected-EC peak ({peak:g}); the tail "
@@ -510,13 +515,10 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
     ``|EEC - alpha|`` exceeds ``1e-10`` raises :class:`NoSolutionError`, as
     does ``alpha`` at or above the bracket-start EC.
     """
+    from scipy import optimize  # imported on first use: it is slow to load
+
     if not (0.0 < alpha < 0.5):
         raise ValueError(f"alpha must lie in (0, 0.5), got {alpha}")
-    if isinstance(model, GaussianisedModel):
-        raise CapabilityError(
-            "threshold solving needs a deterministic expected-EC evaluator; "
-            "gaussianised curves are simulation averages"
-        )
     lkcs = _metric_lkcs(model, domain)
     peak_u, peak_value = _peak(model, lkcs)
     if alpha >= peak_value:
@@ -526,17 +528,20 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
         )
 
     def eec(x: float) -> float:
-        return float(_expected_values(model, lkcs, np.array([x]), 0, None, 0, 1)[0])
+        return float(_closed_form(model, lkcs, np.array([x]))[0])
 
+    # The bracket's right end doubles its distance from the peak, up to a
+    # window of 1000 marginal scales whose own end is evaluated too.
     _, scale = model._window()
+    limit = peak_u + 1000.0 * max(1.0, scale)
     right = peak_u + max(1.0, scale)
     while eec(right) >= alpha:
-        right = peak_u + 2.0 * (right - peak_u)
-        if right - peak_u > 1000.0 * max(1.0, scale):
+        if right >= limit:
             raise NoSolutionError(
                 f"expected EC never falls below alpha={alpha:g} within the "
                 f"search window ending at {right:g}"
             )
+        right = min(peak_u + 2.0 * (right - peak_u), limit)
     u_star = float(
         optimize.brentq(
             lambda x: eec(x) - alpha, peak_u, right, xtol=1e-13, rtol=8.9e-16, maxiter=300

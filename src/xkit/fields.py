@@ -27,16 +27,15 @@ shape, spacing, seed)``.
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy import special, stats
+from scipy import special
 
 from .geometry import _chi2_ec_table, _f_ec_table, _gaussian_ec_table, _t_ec_table
 
@@ -405,51 +404,13 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
         sizes = [2 * m for m in sizes]
 
 
-class _LRUCache:
-    """Least-recently-used map holding at most ``maxsize`` entries.
-
-    Safe to share between threads; a value is computed outside the lock, so
-    two threads missing on one key may both compute it.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._store: OrderedDict = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key, compute):
-        """The value stored under ``key``, computed by ``compute()`` on a miss."""
-        with self._lock:
-            if key in self._store:
-                self._store.move_to_end(key)
-                return self._store[key]
-        value = compute()
-        with self._lock:
-            self._store[key] = value
-            if len(self._store) > self.maxsize:
-                self._store.popitem(last=False)
-        return value
-
-    def clear(self) -> None:
-        with self._lock:
-            self._store.clear()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-
-# Embedding amplitudes are expensive to build and reused by every draw.
-_amplitudes = _LRUCache(maxsize=8)
-
-
+# Embedding amplitudes are expensive to build and reused by every draw.  The
+# cache is thread-safe; two threads missing on one key may both compute it.
+@functools.lru_cache(maxsize=8)
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     """Torus sizes and the noise amplitude ``sqrt(lam / torus size)``, cached."""
-
-    def build():
-        sizes, lam = _torus_spectrum(cov, shape, spacing)
-        return sizes, np.sqrt(lam / float(np.prod(sizes)))
-
-    return _amplitudes.get((cov, shape, spacing), build)
+    sizes, lam = _torus_spectrum(cov, shape, spacing)
+    return sizes, np.sqrt(lam / float(np.prod(sizes)))
 
 
 def _circulant_draw(
@@ -587,6 +548,8 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
             )
         if np.min(values) == np.max(values):
             raise ValueError("cannot gaussianise a constant field (degenerate CDF)")
+        from scipy import stats  # imported on first use: it is slow to load
+
         ranks = stats.rankdata(values, method="average").reshape(values.shape)
         grid = special.ndtri(ranks / (values.size + 1))
         return LatticeField(values=grid, spacing=field.spacing)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy import integrate, special
+from scipy import special
 
 __all__ = [
     "Rectangle",
@@ -408,6 +408,8 @@ def density_derivative_gmf(density, u: float, max_order: int, k: int = 1) -> GMF
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
+    from scipy import integrate  # imported on first use: it also loads scipy.optimize
+
     u = float(u)
     values = np.empty(max_order + 1)
     tail, _ = integrate.quad(density, u, np.inf, limit=200)

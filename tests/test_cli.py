@@ -335,7 +335,7 @@ def test_eec_gaussianised_needs_sim_shape(capsys):
 
 
 def test_eec_gaussianised_simulation_average(capsys):
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     code, stdout, _ = run_cli(
         ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2",
          "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
@@ -542,14 +542,14 @@ def test_config_error_paths(tmp_path, capsys):
 
 
 def test_jobs_env_default(monkeypatch, capsys):
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     argv = ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2",
             "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
             "--sim-reps", "3"]
     monkeypatch.setenv("XKIT_JOBS", "2")
     code, parallel, _ = run_cli(argv, capsys)
     assert code == 0
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     monkeypatch.delenv("XKIT_JOBS")
     code, serial, _ = run_cli(argv, capsys)
     assert code == 0

@@ -569,7 +569,7 @@ def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(expectations_mod, "simulate_model", counting)
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     first = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=3)
     assert len(calls) == 3
     again = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=3)
@@ -580,20 +580,21 @@ def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
     assert first.meta["sim_reps"] == "3"
 
     # worker count must not change the averaged curve (ordered reduction)
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     parallel = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=3, jobs=2)
     np.testing.assert_array_equal(first.values, parallel.values)
 
 
 def test_gaussianised_curve_cache_is_bounded_and_hits_are_copies():
     model, rect = _tiny_gaussianised()
-    cache = expectations_mod._gaussianised_curve_cache
-    cache.clear()
-    for i in range(cache.maxsize + 3):
+    cache = expectations_mod._simulation_average
+    cache.cache_clear()
+    maxsize = cache.cache_info().maxsize
+    for i in range(maxsize + 3):
         levels = np.array([-1.0, 0.0, 1.0 + 0.01 * i])  # a new key each time
         expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
-        assert len(cache) <= cache.maxsize
-    assert len(cache) == cache.maxsize
+        assert cache.cache_info().currsize <= maxsize
+    assert cache.cache_info().currsize == maxsize
     levels = np.array([-1.0, 0.0, 1.0])
     expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
     hit = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1)
@@ -612,21 +613,21 @@ def test_gaussianised_curve_cache_tells_standardized_chi_square_apart():
     standard = GaussianisedModel(ChiSquaredModel(k=3, cov=cov, standardized=True))
     rect = Rectangle((1.6, 1.6))
     levels = np.linspace(-3.0, 3.0, 25)
-    cache = expectations_mod._gaussianised_curve_cache
+    cache = expectations_mod._simulation_average
 
     def curve(model):
         return expected_ec_curve(model, rect, levels, sim_shape=(33, 33), sim_reps=3).values
 
     fresh = []
     for model in (plain, standard):
-        cache.clear()
+        cache.cache_clear()
         fresh.append(curve(model))
     assert not np.array_equal(fresh[0], fresh[1])
     for first, second, wanted in ((plain, standard, fresh[1]), (standard, plain, fresh[0])):
-        cache.clear()
+        cache.cache_clear()
         curve(first)
         np.testing.assert_array_equal(curve(second), wanted)
-    cache.clear()
+    cache.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -779,24 +780,45 @@ def test_threshold_gaussianised_is_a_capability_error():
         threshold(model, rect, 0.05)
 
 
+def test_excursion_probability_gaussianised_is_a_capability_error():
+    model, rect = _tiny_gaussianised()
+    with pytest.raises(CapabilityError, match="simulation"):
+        excursion_probability(model, rect, 3.0)
+
+
 def test_threshold_unattainable_alpha_reports_peak(monkeypatch):
     # no supported model/domain pushes its final EC peak below 0.5 within
     # alpha's admissible range, so exercise the guard on a synthetic curve
-    def fake(model, rect, levels, order, sim_shape, sim_reps, jobs):
+    def fake(model, lkcs, levels, order=0):
         return 0.03 * np.exp(-0.5 * (levels - 3.0) ** 2)
 
-    monkeypatch.setattr(expectations_mod, "_expected_values", fake)
+    monkeypatch.setattr(expectations_mod, "_closed_form", fake)
     with pytest.raises(NoSolutionError, match="0.03"):
         threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
 
 
 def test_threshold_plateau_never_reaches_alpha(monkeypatch):
-    def fake(model, rect, levels, order, sim_shape, sim_reps, jobs):
+    def fake(model, lkcs, levels, order=0):
         return 0.2 + np.exp(-levels)
 
-    monkeypatch.setattr(expectations_mod, "_expected_values", fake)
+    monkeypatch.setattr(expectations_mod, "_closed_form", fake)
     with pytest.raises(NoSolutionError, match="never falls"):
         threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
+
+
+def test_threshold_root_near_the_end_of_the_search_window():
+    # this t_5 curve first falls below alpha between 512 and 1000 marginal
+    # scales past its peak: past the last doubling of the bracket, inside
+    # the window, whose end the bracket must reach
+    model = TFieldModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=50.0))
+    box = Rectangle((1.0, 0.7, 1.3))
+    result = threshold(model, box, 0.05)
+    assert abs(result.eec_at_u - 0.05) <= 1e-10
+    check = expected_ec_curve(model, box, np.array([result.u_star])).values[0]
+    assert abs(check - 0.05) <= 1e-10
+    peak, _ = expectations_mod._peak(model, expectations_mod._metric_lkcs(model, box))
+    _, scale = model._window()
+    assert peak + 512.0 * scale < result.u_star <= peak + 1000.0 * scale
 
 
 def test_threshold_result_serialization():
@@ -882,7 +904,7 @@ def test_identify_tie_keeps_candidate_order():
 
 def test_identify_gaussianised_candidate_uses_curve_shape():
     model, rect = _tiny_gaussianised()
-    expectations_mod._gaussianised_curve_cache.clear()
+    expectations_mod._simulation_average.cache_clear()
     levels = np.array([-1.0, 0.0, 1.0])
     curve = ECCurve(
         levels=levels,

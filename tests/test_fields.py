@@ -87,10 +87,10 @@ def test_covariance_models_compare_and_hash_by_value():
     assert ChiSquaredModel(k=3, cov=a) != ChiSquaredModel(k=3, cov=b, standardized=True)
     assert len({GaussianModel(a), GaussianModel(b), GaussianModel(COV20)}) == 2
     # equal covariances share one embedding amplitude
-    fields_mod._amplitudes.clear()
+    fields_mod._amplitude.cache_clear()
     first = simulate_gaussian(a, (32, 32), 0.02, 3)
     second = simulate_gaussian(b, (32, 32), 0.02, 3)
-    assert len(fields_mod._amplitudes) == 1
+    assert fields_mod._amplitude.cache_info().currsize == 1
     np.testing.assert_array_equal(first.values, second.values)
 
 

@@ -1,5 +1,8 @@
 """The package's public surface."""
 
+import subprocess
+import sys
+
 import xkit
 
 PUBLIC = {
@@ -30,3 +33,12 @@ def test_public_names_are_pinned():
     assert set(xkit.__all__) == PUBLIC
     for name in xkit.__all__:
         assert hasattr(xkit, name), name
+
+
+def test_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.stats, scipy.integrate and scipy.optimize load on first use only
+    slow = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+    code = f"import sys, xkit, xkit.cli; print(*[m for m in {slow!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
