@@ -6,18 +6,17 @@ The central object is the kinematic sum
 
 combining Lipschitz-Killing curvatures of the parameter rectangle M (measured
 in the metric induced by the field) with Gaussian Minkowski functionals of
-the hitting set D.  It is written once, in :func:`_kinematic_sum`, over an
-EC-density table (see :mod:`xkit.geometry`).  Every closed-form field model
-(Gaussian, chi-square, T and F) reaches it through one call,
-:func:`_closed_form`, which hands it the model's vectorised table over all
-levels, so one sum serves every model and every order.  The public closed
-forms are fronts on the same sum: the per-level sums over a supplied
-functional series pass that series as a one-level table, the high-level
-asymptotic keeps only the top curvature, and the rectangle closed forms
-are the Gaussian model's curve.  On top of it sit the tail-probability
-approximation with its error bound, level solving for a target tail mass,
-and a ranking statistic comparing an empirical EC curve against candidate
-models.
+the hitting set D.  It is written once, in :func:`_kinematic_sum`, over the
+list ``[M_0, ..., M_J]`` (see :mod:`xkit.geometry`).  Every closed-form field
+model (Gaussian, chi-square, T and F) reaches it through one call,
+:func:`_closed_form`, which hands it the model's functionals over all levels
+at once, so one sum serves every model and every order.  The public closed
+forms are fronts on the same sum: the per-level sums take a supplied
+functional series as it is, the high-level asymptotic keeps only the top
+curvature, and the rectangle closed forms are the Gaussian model's curve.
+On top of it sit the tail-probability approximation with its error bound,
+level solving for a target tail mass, and a ranking statistic comparing an
+empirical EC curve against candidate models.
 
 Expected curves for gaussianised models have no closed form; they are
 produced by averaging simulated curves under a fixed internal seed schedule
@@ -46,7 +45,7 @@ from .fields import (
     component_seed,
     simulate_model,
 )
-from .geometry import GMFSeries, LKCVector, Rectangle, _gaussian_ec_table, flag_coefficient
+from .geometry import GMFSeries, LKCVector, Rectangle, _gaussian_gmfs, flag_coefficient
 from .topology import ECCurve, _check_levels, ec_curve
 
 __all__ = [
@@ -91,25 +90,13 @@ class QuadratureError(RuntimeError):
 # kinematic sums
 # ---------------------------------------------------------------------------
 
-def _kinematic_sum(lkcs: LKCVector, table, i: int):
-    """E L_i of ``{f >= u}`` from an EC-density table (see :mod:`xkit.geometry`).
-
-    With ``table = (tail, envelope, [P_1, ..., P_J])``, ``J >= dim - i``, the
-    sum is grouped as
-
-        flag(i, 0) L_i tail
-          + sum_(j>=1) [flag(i+j, j) L_(i+j) (2 pi)^(-(j+1)/2)] P_j envelope
-
-    so that the Gaussian order-0 curve is the rectangle closed form
-    ``Psi(z) + sum_k L_k M_k(z)`` bit for bit.  A series of Gaussian
-    Minkowski functionals ``(M_0, ..., M_J)`` is the one-level table
-    ``(M_0, sqrt(2 pi), [M_1, ..., M_J])``.  A scalar level gives a float.
-    """
-    tail, envelope, polys = table
-    acc = flag_coefficient(i, 0) * lkcs[i] * tail
-    for j in range(1, lkcs.dim - i + 1):
-        coef = flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-(j + 1) / 2.0)
-        acc = acc + coef * polys[j - 1] * envelope
+def _kinematic_sum(lkcs: LKCVector, gmfs, i: int):
+    """E L_i of ``{f >= u}`` from ``[M_0, ..., M_J]``, ``J >= dim - i``, each ``M_j``
+    a float or an array over levels (see :mod:`xkit.geometry`)."""
+    acc = sum(
+        flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-j / 2.0) * gmfs[j]
+        for j in range(lkcs.dim - i + 1)
+    )
     return float(acc) if np.ndim(acc) == 0 else acc
 
 
@@ -132,8 +119,7 @@ def expected_lkc_general(lkcs_M: LKCVector, gmfs_D: GMFSeries, i: int) -> float:
     for k in range(i, dim + 1):
         if math.isnan(lkcs_M[k]):
             raise ValueError(f"L_{k} of the domain is unavailable (NaN)")
-    gmf = gmfs_D.values
-    return _kinematic_sum(lkcs_M, (gmf[0], math.sqrt(TWO_PI), gmf[1:]), i)
+    return _kinematic_sum(lkcs_M, gmfs_D.values, i)
 
 
 def expected_lkc_isotropic(
@@ -287,9 +273,7 @@ def expected_lkc_high_level(
         top = top_lkc_quadrature(rect, metric)
     if not 0 <= i <= dim:
         raise ValueError(f"order i must lie in 0..{dim}, got {i}")
-    top_only = np.zeros(dim + 1)
-    top_only[dim] = top
-    return _kinematic_sum(LKCVector(top_only), _gaussian_ec_table(u, dim - i), i)
+    return _kinematic_sum(LKCVector(np.append(np.zeros(dim), top)), _gaussian_gmfs(u, dim - i), i)
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +281,12 @@ def expected_lkc_high_level(
 # ---------------------------------------------------------------------------
 
 def _closed_form(model: FieldModel, lkcs: LKCVector, levels: np.ndarray, order: int = 0):
-    """E L_order of ``{f >= u}`` at each level from the model's EC-density table.
+    """E L_order of ``{f >= u}`` at each level from the model's functionals.
 
     ``lkcs`` are the domain's curvatures in the model's metric (see
     :func:`_metric_lkcs`), so a root finder pays for them once, not per level.
     """
-    return _kinematic_sum(lkcs, model._ec_densities(levels, lkcs.dim - order), order)
+    return _kinematic_sum(lkcs, model._gmfs(levels, lkcs.dim - order), order)
 
 
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
@@ -340,8 +324,8 @@ def _expected_values(
 ) -> np.ndarray:
     """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
 
-    Gaussian, chi-square, T and F fields take the kinematic sum over the EC
-    densities their ``_ec_densities`` hook tabulates for all levels at once;
+    Gaussian, chi-square, T and F fields take the kinematic sum over the
+    functionals their ``_gmfs`` hook returns for all levels at once;
     gaussianised fields, which have no closed form, a cached simulation
     average on a ``sim_shape`` lattice.
     """
@@ -369,6 +353,8 @@ def _expected_values(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
             f"rectangle {rect.sides}; lattice fields use one spacing"
         )
+    if sim_reps < 1:
+        raise ValueError(f"sim_reps must be >= 1, got {sim_reps}")
     average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)
     return average.copy()
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import special
 
-from .geometry import _chi2_ec_table, _f_ec_table, _gaussian_ec_table, _t_ec_table
+from .geometry import _chi2_gmfs, _f_gmfs, _gaussian_gmfs, _t_gmfs
 
 __all__ = [
     "CovarianceModel",
@@ -60,9 +60,6 @@ __all__ = [
 
 FIELD_MAGIC = b"XKF1"
 
-# Doubling the embedding more than this many times past the initial
-# power-of-two torus would exceed the 8x cap on the requested grid.
-_MAX_DOUBLINGS = 3
 _EIGENVALUE_TOL = 1e-9
 
 
@@ -154,9 +151,9 @@ def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
 
 
 # Each model class carries the facts that depend only on the model: how a field
-# is built from Gaussian components (``_simulate``), the (location, scale) of
-# its marginal law, which sets level-scan windows (``_window``), and, where a
-# closed form exists, its EC-density table over levels (``_ec_densities``).
+# is built from Gaussian components (``_simulate``) and, for a closed-form model,
+# the (location, scale) of its marginal law for level scans (``_window``) and the
+# functionals ``[M_0, ..., M_J]`` of its hitting sets over levels (``_gmfs``).
 
 @dataclass(frozen=True)
 class GaussianModel:
@@ -171,8 +168,8 @@ class GaussianModel:
     def _window(self) -> tuple[float, float]:
         return 0.0, math.sqrt(self.cov.variance)
 
-    def _ec_densities(self, levels: np.ndarray, max_order: int):
-        return _gaussian_ec_table(levels / math.sqrt(self.cov.variance), max_order)
+    def _gmfs(self, levels: np.ndarray, max_order: int):
+        return _gaussian_gmfs(levels / math.sqrt(self.cov.variance), max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
         return simulate_gaussian(self.cov, shape, spacing, seed)
@@ -205,9 +202,9 @@ class ChiSquaredModel:
             return 0.0, 1.0
         return float(self.k), math.sqrt(2.0 * self.k)
 
-    def _ec_densities(self, levels: np.ndarray, max_order: int):
+    def _gmfs(self, levels: np.ndarray, max_order: int):
         raw = self.k + levels * math.sqrt(2.0 * self.k) if self.standardized else levels
-        return _chi2_ec_table(raw, self.k, max_order)
+        return _chi2_gmfs(raw, self.k, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
         values = _sum_of_squares(_component_fields(self.cov, self.k, shape, spacing, seed))
@@ -236,8 +233,8 @@ class TFieldModel:
         df = self.k - 1
         return 0.0, math.sqrt(df / (df - 2.0)) if df > 2 else 2.0
 
-    def _ec_densities(self, levels: np.ndarray, max_order: int):
-        return _t_ec_table(levels, self.k - 1, max_order)
+    def _gmfs(self, levels: np.ndarray, max_order: int):
+        return _t_gmfs(levels, self.k - 1, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
         comps = _component_fields(self.cov, self.k, shape, spacing, seed)
@@ -272,8 +269,8 @@ class FFieldModel:
         # the standard deviation of the F(n, m) law, finite for m > 4
         return 1.0, max(1.0, math.sqrt(2 * m * m * (n + m - 2) / (n * (m - 2) ** 2 * (m - 4))))
 
-    def _ec_densities(self, levels: np.ndarray, max_order: int):
-        return _f_ec_table(levels, self.n, self.m, max_order)
+    def _gmfs(self, levels: np.ndarray, max_order: int):
+        return _f_gmfs(levels, self.n, self.m, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
         comps = _component_fields(self.cov, self.n + self.m, shape, spacing, seed)
@@ -308,9 +305,6 @@ class GaussianisedModel:
     def cov(self) -> CovarianceModel:
         """Covariance of the base field's Gaussian components."""
         return self.base.cov
-
-    def _window(self) -> tuple[float, float]:
-        return 0.0, 1.0
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
         base = simulate_model(self.base, shape, spacing, seed)

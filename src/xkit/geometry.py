@@ -8,14 +8,12 @@ quantities that every expected-topology formula is built from:
 * volumes of unit balls and flag coefficients,
 * Lipschitz-Killing curvatures (intrinsic volumes) of axis-aligned
   rectangles, together with the Steiner tube-volume expansion,
-* Gaussian Minkowski functionals of hitting sets (the Taylor coefficients
-  of the Gaussian measure of their tubes) for the Gaussian half line and
-  the chi-square ball complement, read off one-level EC-density tables,
-  plus a numerical half-line route,
-* EC-density tables ``(tail, envelope, [P_1..P_J])`` of the Gaussian,
-  chi-square, Student-t and F marginals over arrays of levels: the density
-  of order ``j >= 1`` is ``(2 pi)^(-(j+1)/2) P_j envelope``, that of order 0
-  the tail; for the Gaussian ``P_j = H_(j-1)`` and the envelope ``e^(-u^2/2)``.
+* Gaussian Minkowski functionals (GMFs) ``[M_0, ..., M_J]`` of the hitting
+  sets of the Gaussian, chi-square, Student-t and F marginals (the Taylor
+  coefficients of the Gaussian measure of their tubes) over arrays of
+  levels; the public series of the Gaussian half line and the chi-square
+  ball complement are these lists at one level, and a numerical half-line
+  route sits beside them.
 
 Everything here is deterministic, cheap, and heavily cross-checked by
 the test suite; the Monte-Carlo and lattice machinery lives elsewhere.
@@ -113,9 +111,7 @@ def hermite(n: int, x):
     if n == -1:
         out = math.sqrt(2.0 * math.pi) * gaussian_tail(x) * np.exp(0.5 * x * x)
     else:
-        coeffs = np.zeros(n + 1)
-        coeffs[n] = 1.0
-        out = hermite_e.hermeval(x, coeffs)
+        out = hermite_e.hermeval(x, [0.0] * n + [1.0])
     out = np.asarray(out, dtype=float)
     return float(out) if scalar else out
 
@@ -258,7 +254,7 @@ def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    return _gmf_series(_gaussian_ec_table(np.array([float(u)]), max_order), 1)
+    return GMFSeries(k=1, values=_gaussian_gmfs(float(u), max_order))
 
 
 def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
@@ -272,7 +268,7 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
 
         ``M_j = (-1)^(j-1) * d^(j-1)/dr^(j-1) p_(chi_k)(r)``  at ``r = sqrt(u)``,
 
-    evaluated in closed form by the Leibniz rule (see :func:`_chi2_ec_table`).
+    evaluated in closed form by the Leibniz rule (see :func:`_chi2_gmfs`).
     For ``u <= 0`` the hitting set is all of ``R^k`` and the series is
     ``(1, 0, 0, ...)``.
     """
@@ -280,69 +276,75 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    return _gmf_series(_chi2_ec_table(np.array([float(u)]), k, max_order), k)
-
-
-def _gmf_series(table, k: int) -> GMFSeries:
-    """The functionals ``M_0 = tail`` and ``M_j = (2 pi)^(-1/2) P_j envelope``
-    of a one-level EC-density table, for a hitting set in ``R^k``."""
-    tail, envelope, polys = table
-    values = [tail[0]] + [p[0] * envelope[0] / math.sqrt(2.0 * math.pi) for p in polys]
-    return GMFSeries(k=k, values=np.array(values))
+    return GMFSeries(k=k, values=_chi2_gmfs(float(u), k, max_order))
 
 
 # ---------------------------------------------------------------------------
-# EC-density tables (see the module docstring)
+# functionals over arrays of levels (see the module docstring)
 # ---------------------------------------------------------------------------
 
-def _gaussian_ec_table(z, max_order: int):
-    """EC-density table of ``{f >= z}`` for a unit-variance Gaussian field."""
+def _gaussian_gmfs(z, max_order: int):
+    """``[M_0, ..., M_J]`` of ``{f >= z}`` for a unit-variance Gaussian field."""
     z = np.asarray(z, dtype=float)
-    return gaussian_tail(z), np.exp(-0.5 * z * z), [hermite(j, z) for j in range(max_order)]
+    density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    return [gaussian_tail(z)] + [hermite(j, z) * density for j in range(max_order)]
 
 
-def _chi2_ec_table(u, k: int, max_order: int):
-    """EC-density table of ``{chi^2_k >= u}`` from the radial derivatives.
+def _stirling_error(z: float) -> float:
+    """``log Gamma(z) - (z - 1/2) log z + z - log(2 pi) / 2``; from ``z = 15`` on by
+    Stirling's series (first omitted term < 3e-16), as ``lgamma(z)`` rounds too coarsely."""
+    if z < 15.0:
+        return math.lgamma(z) - (z - 0.5) * math.log(z) + z - 0.5 * math.log(2.0 * math.pi)
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
 
-    With ``r = sqrt(u)`` and ``p(r) = c r^a e^(-r^2/2)`` the chi density,
-    ``a = k - 1``, the Leibniz rule and ``d^n/dr^n e^(-r^2/2) = (-1)^n H_n(r)
-    e^(-r^2/2)`` give ``M_(n+1) = c e^(-u/2) sum_m binom(n, m) a!/(a-m)! (-1)^m
-    r^(a-m) H_(n-m)(r)``, with no negative power of ``r``; ``P_(n+1) =
-    sqrt(2 pi) M_(n+1) e^(u/2)``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+
+def _chi2_gmfs(u, k: int, max_order: int):
+    """``[M_0, ..., M_J]`` of ``{chi^2_k >= u}`` from the radial derivatives.
+
+    With ``r = sqrt(u)`` and the chi density ``p(r) = r^(k-1) e^(-r^2/2) / (2^(k/2-1)
+    Gamma(k/2))``, the Leibniz rule and ``(e^(-r^2/2))^(n) = (-1)^n H_n(r) e^(-r^2/2)``
+    give ``M_(n+1) = p(r) sum_m (-1)^m binom(n, m) (k-1)!/(k-1-m)! r^(-m) H_(n-m)(r)``.
+    ``p(r) r^(-top)``, ``top`` the largest ``m``, is one exponential per level, centred
+    on ``u = k`` with Stirling's ``Gamma(k/2)``: it neither overflows nor loses digits
+    at large ``k``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
     """
     u = np.asarray(u, dtype=float)
     inside = u > 0.0
-    r = np.sqrt(np.where(inside, u, 0.0))
-    envelope = np.exp(-0.5 * r * r) * inside
-    const = math.sqrt(2.0 * math.pi) / (2.0 ** (k / 2.0 - 1.0) * math.gamma(k / 2.0))
-    polys = []
+    v = np.where(inside, u, 1.0)
+    r = np.sqrt(v)
+    top = min(max_order - 1, k - 1)
+    log_peak = -0.5 * top * math.log(k) - 0.5 * math.log(math.pi) - _stirling_error(k / 2.0)
+    log_density = log_peak + special.xlog1py(0.5 * (k - 1 - top), (v - k) / k) - 0.5 * (v - k)
+    density = np.exp(log_density) * inside
+    gmfs = [chi2_tail(u, k)]
     for n in range(max_order):
         acc = np.zeros_like(r)
         for m in range(min(n, k - 1) + 1):
             coef = (-1) ** m * math.comb(n, m) * math.perm(k - 1, m)
-            acc = acc + coef * r ** (k - 1 - m) * hermite(n - m, r)
-        polys.append(const * acc)
-    return chi2_tail(u, k), envelope, polys
+            acc = acc + coef * r ** (top - m) * hermite(n - m, r)
+        gmfs.append(density * acc)
+    return gmfs
 
 
-def _t_ec_table(t, nu: int, max_order: int):
-    """EC-density table of ``{T_nu >= t}`` (Worsley 1994, to order 3)."""
+def _t_gmfs(t, nu: int, max_order: int):
+    """``[M_0, ..., M_J]`` of ``{T_nu >= t}`` (Worsley 1994, to order 3)."""
     if max_order > 3:
         raise NotImplementedError(f"Student-t EC densities stop at order 3, got {max_order}")
     t = np.asarray(t, dtype=float)
-    envelope = (1.0 + t * t / nu) ** (-(nu - 1.0) / 2.0)
+    density = (1.0 + t * t / nu) ** (-(nu - 1.0) / 2.0) / math.sqrt(2.0 * math.pi)
     ratio = math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)) / math.sqrt(nu / 2.0)
     polys = [np.ones_like(t), ratio * t, (nu - 1.0) / nu * t * t - 1.0]
-    return special.stdtr(nu, -t), envelope, polys[:max_order]
+    return [special.stdtr(nu, -t)] + [p * density for p in polys[:max_order]]
 
 
-def _f_ec_table(u, n: int, m: int, max_order: int):
-    """EC-density table of ``{F(n, m) >= u}`` (Worsley 1994, to order 3).
+def _f_gmfs(u, n: int, m: int, max_order: int):
+    """``[M_0, ..., M_J]`` of ``{F(n, m) >= u}`` (Worsley 1994, to order 3).
 
-    With ``x = n u / m``, ``P_j = sqrt(2 pi) 2^((2-j)/2) G_j x^((n-j)/2) Q_j(x)``
-    where ``G_j = Gamma((n+m-j)/2) / (Gamma(n/2) Gamma(m/2))`` and ``Q_j`` is
-    a polynomial of degree ``j - 1``; the envelope is ``(1 + x)^(-(n+m-2)/2)``.
-    ``G_j`` needs ``n + m > j``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+    With ``x = n u / m``, ``M_j = 2^((2-j)/2) G_j x^((n-j)/2) (1 + x)^(-(n+m-2)/2) Q_j(x)``,
+    ``G_j = Gamma((n+m-j)/2) / (Gamma(n/2) Gamma(m/2))`` (so ``n + m > j``) and ``Q_j``
+    a polynomial of degree ``j - 1``.  The factor before ``Q_j`` is one exponential
+    per level, finite at large ``n`` and ``m``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
     """
     if max_order > min(3, n + m - 1):
         raise NotImplementedError(
@@ -351,20 +353,18 @@ def _f_ec_table(u, n: int, m: int, max_order: int):
     u = np.asarray(u, dtype=float)
     inside = u > 0.0
     x = n * np.where(inside, u, 1.0) / m
-    envelope = (1.0 + x) ** (-(n + m - 2.0) / 2.0) * inside
     log_norm = math.lgamma(n / 2.0) + math.lgamma(m / 2.0)
     q = (
         (1.0,),
         (-(n - 1.0), m - 1.0),
         ((n - 1.0) * (n - 2.0), -(2.0 * n * m - n - m - 1.0), (m - 1.0) * (m - 2.0)),
     )
-    polys = []
+    gmfs = [np.where(inside, special.fdtrc(n, m, np.where(inside, u, 0.0)), 1.0)]
     for j in range(1, max_order + 1):
-        g = math.exp(math.lgamma((n + m - j) / 2.0) - log_norm)
-        const = math.sqrt(2.0 * math.pi) * 2.0 ** ((2 - j) / 2.0) * g
-        polys.append(const * x ** ((n - j) / 2.0) * np.polynomial.polynomial.polyval(x, q[j - 1]))
-    tail = np.where(inside, special.fdtrc(n, m, np.where(inside, u, 0.0)), 1.0)
-    return tail, envelope, polys
+        log_g = math.lgamma((n + m - j) / 2.0) - log_norm + (2 - j) / 2.0 * math.log(2.0)
+        scale = np.exp(log_g + special.xlogy((n - j) / 2.0, x) - (n + m - 2.0) / 2.0 * np.log1p(x))
+        gmfs.append(scale * inside * np.polynomial.polynomial.polyval(x, q[j - 1]))
+    return gmfs
 
 
 def _central_difference_weights(order: int, half_width: int) -> np.ndarray:

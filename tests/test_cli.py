@@ -348,6 +348,30 @@ def test_eec_gaussianised_simulation_average(capsys):
     assert "# model=gaussianised-chisq:3" in stdout
 
 
+def test_eec_gaussianised_needs_a_realisation(capsys):
+    code, stdout, err = run_cli(
+        ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2",
+         "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
+         "--sim-reps", "0"],
+        capsys,
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "sim_reps" in err
+
+
+def test_chisq_large_degrees_of_freedom(capsys):
+    domain = ["--model", "chisq:400", "--cube", "1", "--dim", "2", "--lambda2", "20"]
+    code, stdout, _ = run_cli(["eec", *domain, "--levels=300:600:5"], capsys)
+    assert code == 0
+    rows = [ln for ln in stdout.strip().split("\n") if not ln.startswith(("#", "u,"))]
+    values = np.array([float(r.split(",")[1]) for r in rows])
+    assert values.size == 61 and np.all(np.isfinite(values))
+    code, stdout, _ = run_cli(["threshold", *domain, "--alpha", "0.05"], capsys)
+    assert code == 0
+    assert abs(float(_parse_threshold(stdout)["eec_at_u"]) - 0.05) <= 1e-10
+
+
 def test_eec_domain_flag_validation(capsys):
     code, _, err = run_cli(
         ["eec", "--model", "gaussian", "--lambda2", "200", "--levels=0:1:0.5"], capsys

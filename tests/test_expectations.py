@@ -558,6 +558,17 @@ def test_gaussianised_curve_requirements():
         expected_ec_curve(model, Rectangle((0.8, 0.4)), levels, sim_shape=(17, 17))
 
 
+def test_gaussianised_curve_needs_a_realisation():
+    # no realisations would average to 0/0; both routes name the argument
+    model, rect = _tiny_gaussianised()
+    levels = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="sim_reps"):
+        expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=0)
+    curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical")
+    with pytest.raises(ValueError, match="sim_reps"):
+        identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=-1)
+
+
 def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
     model, rect = _tiny_gaussianised()
     levels = np.array([-1.5, -0.5, 0.5, 1.5])
@@ -765,6 +776,20 @@ def test_threshold_chisq_tail_root():
     assert result.error_bound is None
     check = expected_ec_curve(model, CUBE, np.array([result.u_star])).values[0]
     assert check == pytest.approx(result.eec_at_u, rel=1e-12)
+
+
+# Worsley's (1994) expected EC on the unit square at lambda2 = 20, L = (1, 2
+# sqrt(20), 20), with its EC densities written in the level u, set equal to
+# 0.05 and solved past the last peak in 50-digit mpmath.  Gamma(200) and
+# r^399 overflow a float, so these need the densities in log form.
+LARGE_DF_THRESHOLDS = {"chisq:400": 498.27258995372559133, "f:400:400": 1.3883801336792780775}
+
+
+def test_threshold_large_degrees_of_freedom_matches_worsley():
+    cov = CovarianceModel(variance=1.0, lambda2=20.0)
+    for model in (ChiSquaredModel(k=400, cov=cov), FFieldModel(n=400, m=400, cov=cov)):
+        result = threshold(model, SQUARE, 0.05)
+        assert result.u_star == pytest.approx(LARGE_DF_THRESHOLDS[model.name], rel=1e-12)
 
 
 def test_threshold_anisotropic_has_no_bound():

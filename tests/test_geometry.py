@@ -270,6 +270,30 @@ def test_chi2_gmf_symbolic_reference_values():
         np.testing.assert_allclose(s.values, refs, rtol=1e-12, atol=1e-15)
 
 
+# The same definitions at large k, from 50-digit mpmath (the regularised upper
+# gamma function and numerical differentiation of the chi_k density): here
+# Gamma(k/2) and r^(k-1) each overflow a float, while their ratio does not.
+CHI2_GMF_LARGE_K_REFS = {
+    (400, 430.0): [
+        0.1448737560442831905757,
+        0.3182845057194474795695,
+        0.4758202967029091871049,
+        0.09770594129062108675156,
+    ],
+    (1000, 1050.0): [
+        0.1324740568214770765006,
+        0.3006391390822521626634,
+        0.4731741881591299435596,
+        0.1580502902603839940859,
+    ],
+}
+
+
+def test_chi2_gmf_large_degrees_of_freedom():
+    for (k, u), refs in CHI2_GMF_LARGE_K_REFS.items():
+        np.testing.assert_allclose(chi2_gmf(u, k, 3).values, refs, rtol=1e-12, atol=1e-15)
+
+
 def test_chi2_gmf_order_one_is_the_density():
     # M_1 is the chi_k density at r = sqrt(u): by the change of variables
     # r^2 = u, p_chi(r) = 2 sqrt(u) p_chi2(u)
