@@ -8,125 +8,12 @@ tail-probability approximation, threshold selection, and distributional
 model identification.
 """
 
-from xkit.geometry import (
-    GMFSeries,
-    LKCVector,
-    Rectangle,
-    ball_volume,
-    chi2_gmf,
-    density_derivative_gmf,
-    flag_coefficient,
-    gaussian_gmf,
-    gaussian_tail,
-    hermite,
-    rectangle_lkcs,
-    tube_volume_rectangle,
-)
-from xkit.fields import (
-    ChiSquaredModel,
-    CovarianceModel,
-    FFieldModel,
-    FieldFormatError,
-    GaussianisedModel,
-    GaussianModel,
-    LatticeField,
-    SimulationError,
-    TFieldModel,
-    component_seed,
-    estimate_spectral_moments,
-    gaussianise,
-    read_field,
-    simulate_gaussian,
-    simulate_model,
-    write_field,
-)
-from xkit.topology import (
-    CurveFormatError,
-    ECCurve,
-    ec_curve,
-    euler_characteristic,
-    excursion_mask,
-    face_counts,
-    geometric_measures,
-    read_ec_csv,
-    write_ec_csv,
-)
-from xkit.expectations import (
-    CapabilityError,
-    NoSolutionError,
-    QuadratureError,
-    ThresholdResult,
-    excursion_probability,
-    expected_ec_curve,
-    expected_ec_gaussian_rectangle,
-    expected_ec_stationary_rectangle,
-    expected_lkc_general,
-    expected_lkc_high_level,
-    expected_lkc_isotropic,
-    identify_model,
-    metric_rectangle_lkcs,
-    threshold,
-    top_lkc_quadrature,
-)
+from xkit.geometry import *
+from xkit.fields import *
+from xkit.topology import *
+from xkit.expectations import *
+from xkit import expectations, fields, geometry, topology
 
 __version__ = "0.1.0"
 
-__all__ = [
-    # geometry
-    "GMFSeries",
-    "LKCVector",
-    "Rectangle",
-    "ball_volume",
-    "chi2_gmf",
-    "density_derivative_gmf",
-    "flag_coefficient",
-    "gaussian_gmf",
-    "gaussian_tail",
-    "hermite",
-    "rectangle_lkcs",
-    "tube_volume_rectangle",
-    # fields
-    "ChiSquaredModel",
-    "CovarianceModel",
-    "FFieldModel",
-    "FieldFormatError",
-    "GaussianModel",
-    "GaussianisedModel",
-    "LatticeField",
-    "SimulationError",
-    "TFieldModel",
-    "component_seed",
-    "estimate_spectral_moments",
-    "gaussianise",
-    "read_field",
-    "simulate_gaussian",
-    "simulate_model",
-    "write_field",
-    # topology
-    "CurveFormatError",
-    "ECCurve",
-    "ec_curve",
-    "euler_characteristic",
-    "excursion_mask",
-    "face_counts",
-    "geometric_measures",
-    "read_ec_csv",
-    "write_ec_csv",
-    # expectations
-    "CapabilityError",
-    "NoSolutionError",
-    "QuadratureError",
-    "ThresholdResult",
-    "excursion_probability",
-    "expected_ec_curve",
-    "expected_ec_gaussian_rectangle",
-    "expected_ec_stationary_rectangle",
-    "expected_lkc_general",
-    "expected_lkc_high_level",
-    "expected_lkc_isotropic",
-    "identify_model",
-    "metric_rectangle_lkcs",
-    "threshold",
-    "top_lkc_quadrature",
-    "__version__",
-]
+__all__ = [*geometry.__all__, *fields.__all__, *topology.__all__, *expectations.__all__, "__version__"]

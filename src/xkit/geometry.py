@@ -36,7 +36,6 @@ __all__ = [
     "flag_coefficient",
     "hermite",
     "gaussian_tail",
-    "chi2_tail",
     "rectangle_lkcs",
     "tube_volume_rectangle",
     "gaussian_gmf",

@@ -41,7 +41,6 @@ __all__ = [
     "euler_characteristic",
     "ec_curve",
     "geometric_measures",
-    "ec_csv_text",
     "write_ec_csv",
     "read_ec_csv",
 ]
@@ -73,10 +72,12 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
 
 
 def _check_levels(levels) -> np.ndarray:
-    """``levels`` as a float array, checked non-empty, 1-d and strictly increasing."""
+    """``levels`` as a float array, checked non-empty, 1-d, finite and strictly increasing."""
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
+    if not np.all(np.isfinite(levels)):
+        raise ValueError("levels must be finite")
     if np.any(np.diff(levels) <= 0):
         raise ValueError("levels must be strictly increasing")
     return levels
@@ -144,8 +145,8 @@ class ECCurve:
         values = np.asarray(self.values, dtype=float)
         if values.shape != levels.shape:
             raise ValueError("levels and values must have matching shapes")
-        if not np.all(np.isfinite(levels)) or not np.all(np.isfinite(values)):
-            raise ValueError("levels and values must be finite")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("values must be finite")
         if self.kind not in ("empirical", "expected"):
             raise ValueError(f"kind must be 'empirical' or 'expected', got {self.kind!r}")
         object.__setattr__(self, "levels", levels)

@@ -424,6 +424,11 @@ def test_expected_curve_level_validation():
         expected_ec_curve(model, SQUARE, np.array([1.0, 1.0, 2.0]))
     with pytest.raises(ValueError, match="order"):
         expected_ec_curve(model, SQUARE, np.array([0.0, 1.0]), order=3)
+    # infinite levels are refused before any closed form meets them
+    for model in (GaussianModel(cov=COV200), ChiSquaredModel(k=5, cov=COV200)):
+        for levels in ([0.0, np.inf], [-np.inf, 0.0]):
+            with pytest.raises(ValueError, match="levels must be finite"):
+                expected_ec_curve(model, SQUARE, levels)
 
 
 def _worsley_chi2_densities(u, k):
@@ -556,6 +561,10 @@ def test_gaussianised_curve_requirements():
         expected_ec_curve(model, rect, levels, sim_shape=(17,))
     with pytest.raises(ValueError, match="spacing"):
         expected_ec_curve(model, Rectangle((0.8, 0.4)), levels, sim_shape=(17, 17))
+    misses = expectations_mod._simulation_average.cache_info().misses
+    with pytest.raises(ValueError, match="levels must be finite"):
+        expected_ec_curve(model, rect, [0.0, np.inf], sim_shape=(17, 17), sim_reps=2)
+    assert expectations_mod._simulation_average.cache_info().misses == misses  # nothing simulated
 
 
 def test_gaussianised_curve_needs_a_realisation():

@@ -4,6 +4,9 @@ import subprocess
 import sys
 
 import xkit
+from xkit import expectations, fields, geometry, topology
+
+MODULES = (geometry, fields, topology, expectations)
 
 PUBLIC = {
     # geometry
@@ -33,6 +36,15 @@ def test_public_names_are_pinned():
     assert set(xkit.__all__) == PUBLIC
     for name in xkit.__all__:
         assert hasattr(xkit, name), name
+
+
+def test_package_names_come_from_the_module_lists():
+    exported = set().union(*(m.__all__ for m in MODULES))
+    assert set(xkit.__all__) == exported | {"__version__"}
+    assert sum(len(m.__all__) for m in MODULES) == len(exported)  # pairwise disjoint
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(xkit, name) is getattr(module, name), name
 
 
 def test_import_leaves_slow_scipy_modules_unloaded():

@@ -198,14 +198,20 @@ def test_ec_curve_level_validation():
         ec_curve(f, np.array([[1.0, 2.0]]))
     with pytest.raises(ValueError):
         ec_curve(f, np.array([]))
+    with pytest.raises(ValueError, match="levels must be finite"):
+        ec_curve(f, [np.nan])
+    with pytest.raises(ValueError, match="levels must be finite"):
+        ec_curve(f, [0.0, np.inf])
 
 
 def test_ec_curve_dataclass_validation():
     levels = np.array([0.0, 1.0])
     with pytest.raises(ValueError):
         ECCurve(levels=levels, values=np.array([1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="values must be finite"):
         ECCurve(levels=levels, values=np.array([1.0, math.nan]))
+    with pytest.raises(ValueError, match="levels must be finite"):
+        ECCurve(levels=np.array([0.0, math.inf]), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
         ECCurve(levels=levels[::-1].copy(), values=np.array([1.0, 2.0]))
     with pytest.raises(ValueError):
@@ -338,3 +344,5 @@ def test_csv_rejects_malformed_files(tmp_path):
     attempt("u,ec,kind\n0,1,empirical\n1,2,expected\n")  # mixed kinds
     attempt("u,ec,kind\n1,1,empirical\n0,2,empirical\n")  # decreasing levels
     attempt("u,ec,kind\n0,1,guessed\n")  # unknown kind
+    attempt("u,ec,kind\n0,1,empirical\ninf,2,empirical\n")  # non-finite level
+    attempt("u,ec,kind\n0,nan,empirical\n")  # non-finite value
