@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -84,11 +85,17 @@ def parse_levels(spec: str) -> np.ndarray:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ValueError(f"level grid {spec!r} has a non-numeric part") from exc
+    for name, value in (("lo", lo), ("hi", hi), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"--levels grid {spec!r} has a non-finite {name} ({value})")
     if step <= 0:
         raise ValueError(f"level step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"level grid {spec!r} is empty (hi < lo)")
-    return np.arange(lo, hi + 0.5 * step, step)
+    try:
+        return np.arange(lo, hi + 0.5 * step, step)
+    except ValueError as exc:  # numpy cannot size the grid
+        raise ValueError(f"--levels grid {spec!r} has too many levels ({exc})") from exc
 
 
 def parse_shape(spec: str) -> tuple[int, ...]:

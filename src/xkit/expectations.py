@@ -439,12 +439,15 @@ def _peak(model: FieldModel, lkcs: LKCVector) -> tuple[float, float]:
 # x = lambda2 |s - t|^2 / 2 the ratio is (1 - e^(-2x) (1 + 2x)) / (1 - e^(-x))^2,
 # whose supremum 2 = lambda4 / lambda2^2 - 1 is approached as x -> 0; it does not
 # depend on lambda2, so the bound is invariant under a change of length units.
+# A linear change of coordinates only relabels the pairs (s, t) in that
+# supremum, and x -> Lambda^(1/2) x makes any spectral matrix Lambda the
+# identity, so sigma_c^2 = 2 for every Lambda.
 _CRITICAL_VARIANCE = 2.0
 
 
 def _error_bound(model: FieldModel, u: float) -> float | None:
-    """``exp(-z^2 (1 + 1/sigma_c^2) / 2)`` at ``z = u / sigma``; isotropic Gaussians only."""
-    if not (isinstance(model, GaussianModel) and model.cov.isotropic):
+    """``exp(-z^2 (1 + 1/sigma_c^2) / 2)`` at ``z = u / sigma``; Gaussian models only."""
+    if not isinstance(model, GaussianModel):
         return None
     z = u / math.sqrt(model.cov.variance)
     return math.exp(-0.5 * z * z * (1.0 + 1.0 / _CRITICAL_VARIANCE))
@@ -453,12 +456,13 @@ def _error_bound(model: FieldModel, u: float) -> float | None:
 def excursion_probability(model: FieldModel, domain: Rectangle, u: float):
     """EC approximation of ``P(sup f >= u)`` plus an error bound when known.
 
-    Returns ``(approx, bound)``; ``bound`` is available only for isotropic
-    Gaussian models with the squared-exponential covariance, where the
-    critical-variance parameter is ``lambda4/lambda2^2 - 1 = 2`` whatever
-    ``lambda2``.  Levels below the expected-EC peak trigger a warning: there
-    the heuristic does not approximate the tail probability.
+    Returns ``(approx, bound)``; ``bound`` is available only for Gaussian
+    models, whose squared-exponential covariance has the critical-variance
+    parameter ``lambda4/lambda2^2 - 1 = 2`` whatever its spectral matrix.
+    The level must be finite.  Levels below the expected-EC peak trigger a
+    warning: there the heuristic does not approximate the tail probability.
     """
+    u = float(_check_levels([u])[0])
     lkcs = _metric_lkcs(model, domain)
     peak, _ = _peak(model, lkcs)
     approx = float(_closed_form(model, lkcs, np.array([u]))[0])

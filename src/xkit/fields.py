@@ -3,26 +3,29 @@
 Gaussian fields with squared-exponential covariance are drawn exactly by
 circulant embedding: the covariance is wrapped onto a torus large enough
 that its FFT (the eigenvalue array of the circulant covariance operator)
-is nonnegative, and one complex white-noise FFT then yields a field whose
-finite-dimensional distributions on the cropped grid are exact up to one
-clip: ``_torus_spectrum`` zeroes eigenvalues down to ``-1e-9`` of the
+is nonnegative, and one white-noise FFT then yields a field whose
+finite-dimensional distributions on the cropped grid are exact up to two
+cuts.  The torus reaches only a little past the grid: along each axis, to
+where the covariance is below ``e^-40`` of the variance (cut-off circulant
+embedding; Wood & Chan 1994, Gneiting et al. 2006), so a lag the torus
+wraps has its true and its wrapped covariance both below that.  And
+``_torus_spectrum`` zeroes eigenvalues down to ``-1e-9`` of the
 largest, and the sampler's covariance then misses the target by their mass
 over the torus size.  That gap is 2.9e-10 of the variance on an anisotropic
-12x10x9 grid at spacing 0.02 (torus 128x128x64).  The noise
-amplitude ``sqrt(eigenvalues / torus size)`` is cached, and the FFT runs
-one axis at a time, cropping each axis to the grid right after its own
-transform; the arithmetic is that of one ``fftn`` followed by the crop, bit
-for bit.
+12x10x9 grid at spacing 0.02 (torus 128x128x64).
 
-A Gaussian field is the real part of that FFT.  Because the eigenvalues
-are even (they are the FFT of a real array), its imaginary part is a second
-exact sample, independent of the first.  Gaussian-derived fields
-(chi-square, Student-T, F, and probability-integral "gaussianised"
-transforms) are built pointwise from independent Gaussian components taken
-in pairs: components ``2m`` and ``2m + 1`` are the real and imaginary parts
-of the draw seeded ``component_seed(seed, m)``, so ``k`` components cost
-``ceil(k / 2)`` FFTs.  Every simulation is bit-reproducible from ``(model,
-shape, spacing, seed)``.
+A field is real, so its noise needs only the half spectrum that ``irfft``
+reads: one ``standard_normal`` call fills it with complex noise, the cached
+amplitude scales it, and the inverse transform runs one axis at a time,
+cropping each leading axis to the grid right after its own ``ifft`` and
+ending with ``irfft`` on the last axis; the arithmetic is that of one
+``irfftn`` followed by the crop, bit for bit.
+
+Gaussian-derived fields (chi-square, Student-T, F, and
+probability-integral "gaussianised" transforms) are built pointwise from
+independent Gaussian components, one draw each: component ``i`` is the draw
+seeded ``component_seed(seed, i)``, so ``k`` components cost ``k`` draws.
+Every simulation is bit-reproducible from ``(model, shape, spacing, seed)``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,8 @@ __all__ = [
 FIELD_MAGIC = b"XKF1"
 
 _EIGENVALUE_TOL = 1e-9
+# The torus reaches past each grid axis to where the covariance is below e^-40.
+_CUTOFF_EXPONENT = 40.0
 
 
 class SimulationError(RuntimeError):
@@ -360,16 +365,22 @@ def _next_pow2(n: int) -> int:
 
 
 def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
-    """Embedding sizes and FFT eigenvalues of the wrapped covariance.
+    """Embedding sizes and the ``rfftn`` half of the wrapped covariance's eigenvalues.
 
-    Starts from the next power of two past twice the requested lags (the
-    minimum for the crop to be distributionally exact) and doubles until all
-    eigenvalues are nonnegative, refusing to grow any axis beyond eight
-    times its padded size.
+    Axis ``a`` starts at the smaller of the next power of two past twice the
+    requested lags and the next fast FFT length past the grid plus the reach
+    ``sqrt(80 (L^-1)_aa)``, past which the covariance is below ``e^-40``
+    whatever the other coordinates.  Sizes double until all eigenvalues are
+    nonnegative, refusing to grow any axis beyond eight times its padded
+    size.  The eigenvalues are even, so the half holds all of them.
     """
     dim = len(shape)
     lam_mat = cov.spectral_matrix(dim)
-    sizes = [_next_pow2(max(2 * (n - 1), 1)) for n in shape]
+    reach = np.sqrt(2.0 * _CUTOFF_EXPONENT * np.diag(np.linalg.inv(lam_mat)))
+    sizes = [
+        min(_next_pow2(max(2 * (n - 1), 1)), sp_fft.next_fast_len(n + math.ceil(r / spacing)))
+        for n, r in zip(shape, reach)
+    ]
     caps = [8 * _next_pow2(n) for n in shape]
     while True:
         axes = [
@@ -383,7 +394,7 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
                 if lam_mat[i, j] != 0.0:
                     quad = quad + lam_mat[i, j] * grids[i] * grids[j]
         base = cov.variance * np.exp(-0.5 * quad)
-        lam = sp_fft.fftn(base).real
+        lam = sp_fft.rfftn(base).real
         min_lam, max_lam = float(lam.min()), float(lam.max())
         if min_lam >= -_EIGENVALUE_TOL * max_lam:
             np.maximum(lam, 0.0, out=lam)
@@ -402,20 +413,25 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
 # cache is thread-safe; two threads missing on one key may both compute it.
 @functools.lru_cache(maxsize=8)
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
-    """Torus sizes and the noise amplitude ``sqrt(lam / torus size)``, cached."""
+    """Torus sizes and the half-spectrum noise amplitude, cached.
+
+    The amplitude is ``sqrt(lam / 2N)`` on a torus of ``N`` sites, and
+    ``sqrt(lam / N)`` on last-axis planes ``0`` and ``m / 2``: ``irfft``
+    pairs every other plane with its conjugate, but keeps only the
+    Hermitian part of those two, which halves their variance.
+    """
     sizes, lam = _torus_spectrum(cov, shape, spacing)
+    lam[..., 1 : (sizes[-1] + 1) // 2] /= 2.0
     return sizes, np.sqrt(lam / float(np.prod(sizes)))
 
 
 def _circulant_draw(
     cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int
 ) -> np.ndarray:
-    """The complex draw whose real part :func:`simulate_gaussian` returns.
+    """One exact real sample on the grid, from the draw seeded ``seed``.
 
-    Its real and imaginary parts are independent exact samples, because
-    ``lam`` is even.  The amplitude is cached, and each axis is cropped to
-    the grid right after its own 1-D transform, so later axes transform only
-    surviving lines.
+    Each leading axis is cropped to the grid right after its own ``ifft``,
+    so later axes transform only surviving lines.
     """
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or any(n < 1 for n in shape):
@@ -441,15 +457,14 @@ def _circulant_draw(
                 stacklevel=3,
             )
     sizes, amplitude = _amplitude(cov, shape, spacing)
-    normals = np.random.default_rng(seed).standard_normal((2,) + sizes)
-    sample = np.empty(sizes, dtype=complex)
-    np.multiply(normals[0], amplitude, out=sample.real)
-    np.multiply(normals[1], amplitude, out=sample.imag)
-    # Axis by axis in fftn's order, so every line sees the same arithmetic.
-    for axis, n in enumerate(shape):
-        sample = sp_fft.fft(sample, axis=axis, overwrite_x=True)
+    normals = np.random.default_rng(seed).standard_normal(amplitude.shape + (2,))
+    normals *= amplitude[..., None]
+    sample = normals.view(complex)[..., 0]
+    # Axis by axis in irfftn's order, so every line sees the same arithmetic.
+    for axis, n in enumerate(shape[:-1]):
+        sample = sp_fft.ifft(sample, axis=axis, norm="forward", overwrite_x=True)
         sample = sample[(slice(None),) * axis + (slice(0, n),)]
-    return sample
+    return sp_fft.irfft(sample, n=sizes[-1], norm="forward")[..., : shape[-1]]
 
 
 def simulate_gaussian(
@@ -458,27 +473,28 @@ def simulate_gaussian(
     """Draw one exact sample of a stationary Gaussian field on a grid.
 
     The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
-    produce a bit-identical field: the real part of ``fftn((a + 1j*b) *
-    sqrt(lam / torus size))`` on the grid, where ``a`` and ``b`` are the
-    two blocks of one ``default_rng(seed).standard_normal`` draw.
+    produce a bit-identical field: ``irfftn(z * amplitude, norm="forward")``
+    on the torus, cropped to the grid, where ``z`` is complex noise on the
+    half spectrum whose real and imaginary parts alternate in one
+    ``default_rng(seed).standard_normal`` draw, and the amplitude is
+    ``sqrt(lam / 2N)`` (``sqrt(lam / N)`` on last-axis planes ``0`` and
+    ``m / 2``) for torus eigenvalues ``lam`` and torus size ``N``.
 
     The grid must resolve the correlation length (``spacing *
     sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
     much shorter than six correlation lengths per axis triggers a warning
     because empirical statistics then mix poorly.
     """
-    return LatticeField(values=_circulant_draw(cov, shape, spacing, seed).real, spacing=spacing)
+    return LatticeField(values=_circulant_draw(cov, shape, spacing, seed), spacing=spacing)
 
 
 def component_seed(seed: int, index: int) -> int:
     """Derived seed number ``index`` of a construction that needs several draws.
 
     Defined as the first 64-bit word of ``numpy.random.SeedSequence([seed,
-    index])``, which numpy documents as stable across releases.  A
-    multi-component model seeds its complex draw ``m`` with
-    ``component_seed(seed, m)``; that draw's real and imaginary parts are
-    components ``2m`` and ``2m + 1``.  Kept public so that consumers can
-    reproduce individual components.
+    index])``, which numpy documents as stable across releases.  Component
+    ``i`` of a multi-component model is the draw seeded ``component_seed(seed,
+    i)``.  Kept public so that consumers can reproduce individual components.
     """
     ss = np.random.SeedSequence([int(seed), int(index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
@@ -487,15 +503,7 @@ def component_seed(seed: int, index: int) -> int:
 def _component_fields(
     cov: CovarianceModel, count: int, shape, spacing: float, seed: int
 ) -> list[np.ndarray]:
-    comps: list[np.ndarray] = []
-    for m in range((count + 1) // 2):
-        draw = _circulant_draw(cov, shape, spacing, component_seed(seed, m))
-        comps.append(draw.real.copy())
-        if len(comps) < count:
-            comps.append(draw.imag.copy())
-        # release this pair's buffer before the next draw allocates its own
-        del draw
-    return comps
+    return [_circulant_draw(cov, shape, spacing, component_seed(seed, i)) for i in range(count)]
 
 
 def _sum_of_squares(comps: list[np.ndarray]) -> np.ndarray:
@@ -510,13 +518,12 @@ def simulate_model(
 ) -> LatticeField:
     """Simulate a Gaussian or Gaussian-derived field model.
 
-    Component fields are iid unit-variance Gaussians taken in pairs from
-    complex draws: components ``2m`` and ``2m + 1`` are the real and
-    imaginary parts of the draw seeded ``component_seed(seed, m)``, so a
-    model on ``k`` components costs ``ceil(k / 2)`` draws, and e.g. a
-    chi-square field equals the pointwise sum of squares of its components
-    exactly, not just in distribution.  A Gaussian model is the real part
-    of the draw seeded ``seed`` itself, as in :func:`simulate_gaussian`.
+    Component fields are iid unit-variance Gaussians, one draw each:
+    component ``i`` is the draw seeded ``component_seed(seed, i)``, so a
+    model on ``k`` components costs ``k`` draws, and e.g. a chi-square field
+    equals the pointwise sum of squares of its components exactly, not just
+    in distribution.  A Gaussian model is the draw seeded ``seed`` itself,
+    as in :func:`simulate_gaussian`.
     """
     return model._simulate(shape, spacing, seed)
 

@@ -76,8 +76,9 @@ def _check_levels(levels) -> np.ndarray:
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
-    if not np.all(np.isfinite(levels)):
-        raise ValueError("levels must be finite")
+    finite = np.isfinite(levels)
+    if not np.all(finite):
+        raise ValueError(f"levels must be finite, got {float(levels[~finite][0])}")
     if np.any(np.diff(levels) <= 0):
         raise ValueError("levels must be strictly increasing")
     return levels

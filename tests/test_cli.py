@@ -211,6 +211,23 @@ def test_ec_curve_bad_step_is_usage_error(field_file, capsys):
     assert "step" in err
 
 
+def test_eec_non_finite_or_oversized_level_grid_names_the_flag(capsys):
+    # numpy cannot size these grids; the refusal names the flag and the grid
+    for grid, reason in (
+        ("0:inf:1", "non-finite hi"),
+        ("nan:1:1", "non-finite lo"),
+        ("0:1:inf", "non-finite step"),
+        ("0:1e300:1e-300", "too many levels"),
+    ):
+        code, stdout, err = run_cli(
+            ["eec", "--model", "gaussian", "--cube", "1", "--dim", "2",
+             "--lambda2", "200", f"--levels={grid}"],
+            capsys,
+        )
+        assert code == 2 and stdout == ""
+        assert f"--levels grid {grid!r}" in err and reason in err, err
+
+
 def test_ec_curve_malformed_field_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.xkf"
     bad.write_bytes(b"not a field at all")

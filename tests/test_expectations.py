@@ -696,10 +696,17 @@ def test_warns_below_peak_and_bound_availability():
         excursion_probability(GaussianModel(cov=COV880), CUBE, 5.0)
     aniso = GaussianModel(cov=CovarianceModel(variance=1.0, matrix=np.diag([200.0, 800.0])))
     _, bound = excursion_probability(aniso, SQUARE, 4.0)
-    assert bound is None
+    assert bound == math.exp(-0.5 * 16.0 * (1.0 + 1.0 / 2.0))
     chisq = ChiSquaredModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=20.0))
     _, bound = excursion_probability(chisq, SQUARE, 12.0)
     assert bound is None
+
+
+def test_excursion_probability_refuses_non_finite_levels():
+    model = GaussianModel(cov=COV200)
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"levels must be finite, got {u}"):
+            excursion_probability(model, SQUARE, u)
 
 
 # ---------------------------------------------------------------------------
@@ -801,11 +808,36 @@ def test_threshold_large_degrees_of_freedom_matches_worsley():
         assert result.u_star == pytest.approx(LARGE_DF_THRESHOLDS[model.name], rel=1e-12)
 
 
-def test_threshold_anisotropic_has_no_bound():
-    aniso = GaussianModel(cov=CovarianceModel(variance=1.0, matrix=np.diag([200.0, 800.0])))
-    result = threshold(aniso, SQUARE, 0.05)
-    assert result.error_bound is None
-    assert abs(result.eec_at_u - 0.05) <= 1e-10
+def test_error_bound_does_not_depend_on_how_lambda_is_written():
+    # x -> Lambda^(1/2) x makes every squared-exponential field isotropic, so
+    # sigma_c^2 = 2 and the bound at a level u is exp(-3 u^2 / 4) for every
+    # spectral matrix: lambda2 or lambda2 * I, rotated, or rescaled with the domain.
+    def bound_at(u):
+        return math.exp(-0.5 * u * u * (1.0 + 1.0 / 2.0))
+
+    def rotated(matrix, angle):
+        c, s = math.cos(angle), math.sin(angle)
+        q = np.array([[c, -s], [s, c]])
+        return q @ matrix @ q.T
+
+    scalar = threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
+    assert scalar.error_bound == bound_at(scalar.u_star)
+    matrices = [200.0 * np.eye(2), np.diag([200.0, 800.0])]
+    matrices += [rotated(m, angle) for m in matrices for angle in (0.3, 1.1)]
+    for matrix in matrices:
+        model = GaussianModel(cov=CovarianceModel(variance=1.0, matrix=matrix))
+        assert excursion_probability(model, SQUARE, 4.0)[1] == bound_at(4.0)
+        result = threshold(model, SQUARE, 0.05)
+        assert abs(result.eec_at_u - 0.05) <= 1e-10
+        assert result.error_bound == bound_at(result.u_star)
+        if np.allclose(matrix, 200.0 * np.eye(2), rtol=1e-14, atol=0.0):
+            assert result.u_star == pytest.approx(scalar.u_star, rel=1e-14)
+            assert result.error_bound == pytest.approx(scalar.error_bound, rel=1e-13)
+        for c in (2.0, 10.0):
+            scaled = GaussianModel(cov=CovarianceModel(variance=1.0, matrix=matrix / c**2))
+            again = threshold(scaled, Rectangle((c, c)), 0.05)
+            assert again.u_star == pytest.approx(result.u_star, rel=1e-12)
+            assert again.error_bound == pytest.approx(result.error_bound, rel=1e-10)
 
 
 def test_threshold_gaussianised_is_a_capability_error():

@@ -139,14 +139,21 @@ def test_simulation_is_bit_reproducible():
 
 
 def _plain_circulant_draw(cov, shape, spacing, seed):
-    # the sampler as first written: full complex white noise times the square
-    # root of the torus eigenvalues, one fftn, cropped to the grid
-    _, lam = fields_mod._torus_spectrum(cov, shape, spacing)
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal(lam.shape)
-    b = rng.standard_normal(lam.shape)
+    # the sampler as plain formulas: complex noise on the half spectrum, its
+    # real and imaginary parts alternating in one normal draw, times the square
+    # root of lam / 2N (lam / N on last-axis planes 0 and m / 2, where irfftn
+    # keeps only the Hermitian part), one unnormalised irfftn, cropped to the grid
+    sizes, lam = fields_mod._torus_spectrum(cov, shape, spacing)
+    m = sizes[-1]
+    halves = np.full(m // 2 + 1, 2.0)
+    halves[0] = 1.0
+    if m % 2 == 0:
+        halves[-1] = 1.0
+    amplitude = np.sqrt(lam / (halves * math.prod(sizes)))
+    z = np.random.default_rng(seed).standard_normal(lam.shape + (2,))
+    noise = z[..., 0] * amplitude + 1j * (z[..., 1] * amplitude)
     crop = tuple(slice(0, n) for n in shape)
-    return sp_fft.fftn((a + 1j * b) * np.sqrt(lam / lam.size))[crop]
+    return sp_fft.irfftn(noise, s=sizes, norm="forward")[crop]
 
 
 ANISO3 = CovarianceModel(variance=1.0, matrix=np.array(
@@ -155,14 +162,14 @@ ANISO3 = CovarianceModel(variance=1.0, matrix=np.array(
 
 # (covariance, grid, spacing, torus the embedding settles on)
 SAMPLER_CASES = [
-    (COV200, (50,), 1 / 64, (128,)),  # 1-D
+    (COV200, (50,), 1 / 64, (96,)),  # 1-D
     (COV20, (1,), 0.1, (1,)),  # single site
-    (COV200, (33, 20), 1 / 64, (64, 64)),  # 2-D, unequal sides
+    (COV200, (33, 20), 1 / 64, (64, 63)),  # 2-D, unequal sides, odd last axis
     (COV20, (16, 16), 0.05, (64, 64)),  # embedding doubled once
     (COV20, (16, 16), 0.03, (128, 128)),  # embedding doubled twice
     (ANISO3, (12, 10, 9), 0.02, (128, 128, 64)),  # 3-D anisotropic
-    (COV200, (48, 1, 40), 1 / 64, (128, 1, 128)),  # a length-1 axis
-    (COV20, (20, 1, 7), 0.1, (128, 2, 32)),  # a length-1 axis padded to 2
+    (COV200, (48, 1, 40), 1 / 64, (90, 1, 81)),  # a length-1 axis
+    (COV20, (20, 1, 7), 0.1, (80, 2, 32)),  # a length-1 axis padded to 2
 ]
 
 
@@ -177,34 +184,67 @@ def test_sampler_matches_plain_circulant_formula_bit_for_bit():
                 draw = fields_mod._circulant_draw(cov, shape, spacing, seed)
                 assert np.array_equal(draw, expected), (shape, spacing, seed)
                 got = simulate_gaussian(cov, shape, spacing, seed).values
-                assert np.array_equal(got, expected.real), (shape, spacing, seed)
+                assert np.array_equal(got, expected), (shape, spacing, seed)
 
 
-def test_real_and_imaginary_parts_are_independent_exact_samples():
-    # With s_k = sqrt(lam_k / N) and theta = 2 pi <j, k / N>, a draw is
-    # sum_k s_k (a_k + i b_k) e^(-i theta): Re = sum s (a cos + b sin) and
-    # Im = sum s (b cos - a sin).  So Cov(Re_j, Im_l) is
-    # sum_k lam_k sin(2 pi <j - l, k / N>) / N, which vanishes when lam is even,
-    # and Cov(Re_j, Re_l) = Cov(Im_j, Im_l) is the same sum with cos.  Both
-    # sums are evaluated directly, one axis at a time, at every lag the grid has.
-    # The embedding zeroes eigenvalues that fall below 0 by at most 1e-9 of the
-    # largest, which shifts the covariance by their mass / N: 2.9e-10 of the
-    # variance on the 3-D torus here, 4.8e-12 and 2.6e-12 on two of the 64 x 64
-    # tori and under 1e-14 on the rest.  Independence does not depend on it.
+def test_compact_torus_is_never_larger_than_the_power_of_two_torus(monkeypatch):
+    # An unbounded fast length leaves the power-of-two start of twice the lags,
+    # which is the torus every grid embedded on before the compact start.
+    grids = [case[:3] for case in SAMPLER_CASES] + [
+        (COV200, (256, 256), 1 / 255),
+        (CovarianceModel(variance=1.0, lambda2=100.0), (256, 256), 1 / 255),
+        (COV2000, (256, 256), 1 / 256),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for cov, shape, spacing, _ in SAMPLER_CASES:
-            sizes, lam = fields_mod._torus_spectrum(cov, shape, spacing)
-            lags = [np.arange(-(n - 1), n) for n in shape]
-            total = lam.astype(complex)
-            for axis, (d, m) in enumerate(zip(lags, sizes)):
-                phase = np.exp(2j * np.pi * np.outer(d, np.arange(m)) / m)
-                total = np.moveaxis(np.tensordot(phase, total, axes=([1], [axis])), 0, axis)
-            total /= lam.size
-            grid = np.stack(np.meshgrid(*lags, indexing="ij"), axis=-1) * spacing
-            target = cov.variance * cov.correlation(grid)
-            assert np.abs(total.imag).max() <= 1e-12 * cov.variance, shape
-            assert np.abs(total.real - target).max() <= 1e-9 * cov.variance, shape
+        compact = [fields_mod._torus_spectrum(*grid)[0] for grid in grids]
+        monkeypatch.setattr(fields_mod.sp_fft, "next_fast_len", lambda n: 2**62)
+        for grid, sizes in zip(grids, compact):
+            padded, _ = fields_mod._torus_spectrum(*grid)
+            assert all(a <= b for a, b in zip(sizes, padded)), (grid[1:], sizes, padded)
+    assert compact[-3:] == [(420, 420), (486, 486), (308, 308)]
+
+
+def _draw_map(cov, shape, spacing, monkeypatch):
+    # The draw as a matrix: column i is the field drawn when the normal deviates
+    # are the i-th unit vector (the seed picks the vector).
+    _, amplitude = fields_mod._amplitude(cov, shape, spacing)
+    count = 2 * amplitude.size
+
+    class UnitNormals:
+        def __init__(self, index):
+            self.index = index
+
+        def standard_normal(self, size):
+            unit = np.zeros(count)
+            unit[self.index] = 1.0
+            return unit.reshape(size)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.random, "default_rng", UnitNormals)
+        columns = [fields_mod._circulant_draw(cov, shape, spacing, i) for i in range(count)]
+    return np.stack([c.ravel() for c in columns], axis=1)
+
+
+def test_draw_has_the_exact_target_covariance(monkeypatch):
+    # The draw is linear in its unit normal inputs, x = A z, so its covariance
+    # is A A^T exactly.  The embedding zeroes eigenvalues that fall below 0 by
+    # at most 1e-9 of the largest, which shifts the covariance by their mass /
+    # N, and the compact torus drops covariance below e^-40; both sit far
+    # below the 1e-9 asserted here.  A map costs one draw per input, so the
+    # grids whose torus has over 10,000 sites (the twice-doubled one, and the
+    # 3-D anisotropic one with over a million inputs) are left to the formula
+    # test above.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for cov, shape, spacing, torus in SAMPLER_CASES:
+            if math.prod(torus) > 10000:
+                continue
+            a = _draw_map(cov, shape, spacing, monkeypatch)
+            sites = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), axis=-1)
+            sites = sites.reshape(-1, len(shape)) * spacing
+            target = cov.variance * cov.correlation(sites[:, None, :] - sites[None, :, :])
+            assert np.abs(a @ a.T - target).max() <= 1e-9 * cov.variance, shape
 
 
 def test_single_site_grid_gives_standard_normal_marginal():
@@ -337,12 +377,11 @@ def test_component_seed_is_frozen():
 
 
 def test_chi_square_is_exact_sum_of_component_squares():
-    # components 2m and 2m + 1 are the real and imaginary parts of draw m
+    # component i is the draw seeded component_seed(seed, i)
     shape, spacing, seed = (32, 32), 0.05, 77
-    comps = []
-    for m in range(4):
-        draw = _plain_circulant_draw(COV20, shape, spacing, component_seed(seed, m))
-        comps += [draw.real, draw.imag]
+    comps = [
+        _plain_circulant_draw(COV20, shape, spacing, component_seed(seed, i)) for i in range(7)
+    ]
 
     def squares(parts):
         total = np.zeros(shape)
@@ -350,12 +389,11 @@ def test_chi_square_is_exact_sum_of_component_squares():
             total += c * c
         return total
 
-    for k in (3, 5):  # odd k leaves the last imaginary part unused
+    for k in (3, 5):
         chi = simulate_model(ChiSquaredModel(k=k, cov=COV20), shape, spacing, seed)
         assert np.array_equal(chi.values, squares(comps[:k]))
     t = simulate_model(TFieldModel(k=5, cov=COV20), shape, spacing, seed)
     assert np.array_equal(t.values, comps[0] * 2.0 / np.sqrt(squares(comps[1:5])))
-    # the numerator ends on the real half of draw 1, the denominator starts on its imaginary half
     f = simulate_model(FFieldModel(n=3, m=4, cov=COV20), shape, spacing, seed)
     assert np.array_equal(f.values, (4 * squares(comps[:3])) / (3 * squares(comps[3:7])))
 
