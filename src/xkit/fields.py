@@ -411,6 +411,12 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
 
 # Embedding amplitudes are expensive to build and reused by every draw.  The
 # cache is thread-safe; two threads missing on one key may both compute it.
+# An entry is a float64 half spectrum.  The doubling loop caps torus axis a at
+# 8 p_a, p_a = next_pow2(n_a), so an entry holds at most
+# 8 * (8 p_0) * ... * (8 p_(d-2)) * (4 p_(d-1) + 1) bytes: 538,968,064 (514 MiB)
+# for a 64**3 grid, so 8 entries of grids up to 64**3 stay under 4.1 GiB.
+# Typical entries are far smaller: 64**3 at lambda2 = 880 is 84 x 84 x 43,
+# 2,427,264 bytes.
 @functools.lru_cache(maxsize=8)
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     """Torus sizes and the half-spectrum noise amplitude, cached.

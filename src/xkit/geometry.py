@@ -244,6 +244,15 @@ def tube_volume_rectangle(rect: Rectangle, rho: float) -> float:
 # Gaussian-measure Minkowski functionals
 # ---------------------------------------------------------------------------
 
+def _finite_level(u) -> float:
+    """``u`` as a float, refused unless finite: the tails and densities are NaN
+    or warn at infinite and NaN levels."""
+    u = float(u)
+    if not math.isfinite(u):
+        raise ValueError(f"level u must be finite, got {u}")
+    return u
+
+
 def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     """Minkowski functionals of the half line ``[u, inf)`` under N(0,1).
 
@@ -253,7 +262,7 @@ def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     """
     if max_order < 0:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
-    return GMFSeries(k=1, values=_gaussian_gmfs(float(u), max_order))
+    return GMFSeries(k=1, values=_gaussian_gmfs(_finite_level(u), max_order))
 
 
 def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
@@ -275,7 +284,7 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
         raise ValueError(f"max_order must be >= 0, got {max_order}")
     if k < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    return GMFSeries(k=k, values=_chi2_gmfs(float(u), k, max_order))
+    return GMFSeries(k=k, values=_chi2_gmfs(_finite_level(u), k, max_order))
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +351,17 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
 
     With ``x = n u / m``, ``M_j = 2^((2-j)/2) G_j x^((n-j)/2) (1 + x)^(-(n+m-2)/2) Q_j(x)``,
     ``G_j = Gamma((n+m-j)/2) / (Gamma(n/2) Gamma(m/2))`` (so ``n + m > j``) and ``Q_j``
-    a polynomial of degree ``j - 1``.  The factor before ``Q_j`` is one exponential
-    per level, finite at large ``n`` and ``m``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+    a polynomial of degree ``j - 1``.  With ``a = n/2``, ``b = m/2``, ``s = a + b`` and
+    ``t = x / (1 + x)``, the factor before ``Q_j`` is ``2^((2-j)/2) G_j t^(a-j/2)
+    (1-t)^(b-1+j/2)``, one exponential per level centred on its value at ``u = 1``
+    (``t = a/s``).  With Stirling's three Gammas and ``c = s - j/2``, that value's log
+    is ``(1-j)/2 log(2 a s / b) + (c - 1/2) log1p(-j / 2s) + j/2 - log(pi)/2`` plus the
+    Stirling errors, free of the large cancelling ``lgamma`` terms.  The offsets
+    ``log(t s / a) = log1p((u - 1) / (1 + x))`` and ``log((1-t) s / b) =
+    -log1p(n (u - 1) / (n + m))`` vanish at ``u = 1``, so ``a`` times them keeps its
+    digits near the mode; below ``u = 1/2`` the first is ``log((u + x) / (1 + x))``,
+    as ``u - 1`` would drop the digits of a small ``u``.
+    Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
     """
     if max_order > min(3, n + m - 1):
         raise NotImplementedError(
@@ -351,8 +369,12 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
         )
     u = np.asarray(u, dtype=float)
     inside = u > 0.0
-    x = n * np.where(inside, u, 1.0) / m
-    log_norm = math.lgamma(n / 2.0) + math.lgamma(m / 2.0)
+    v = np.where(inside, u, 1.0)
+    x = n * v / m
+    a, b = n / 2.0, m / 2.0
+    s = a + b
+    log_t = np.where(v < 0.5, np.log((v + x) / (1.0 + x)), np.log1p((v - 1.0) / (1.0 + x)))
+    log_1mt = -np.log1p(n * (v - 1.0) / (n + m))
     q = (
         (1.0,),
         (-(n - 1.0), m - 1.0),
@@ -360,8 +382,15 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
     )
     gmfs = [np.where(inside, special.fdtrc(n, m, np.where(inside, u, 0.0)), 1.0)]
     for j in range(1, max_order + 1):
-        log_g = math.lgamma((n + m - j) / 2.0) - log_norm + (2 - j) / 2.0 * math.log(2.0)
-        scale = np.exp(log_g + special.xlogy((n - j) / 2.0, x) - (n + m - 2.0) / 2.0 * np.log1p(x))
+        c = s - j / 2.0
+        log_peak = (
+            (1 - j) / 2.0 * math.log(2.0 * a * s / b)
+            + (c - 0.5) * math.log1p(-j / (2.0 * s))
+            + j / 2.0
+            - 0.5 * math.log(math.pi)
+            + _stirling_error(c) - _stirling_error(a) - _stirling_error(b)
+        )
+        scale = np.exp(log_peak + (a - j / 2.0) * log_t + (b - 1.0 + j / 2.0) * log_1mt)
         gmfs.append(scale * inside * np.polynomial.polynomial.polyval(x, q[j - 1]))
     return gmfs
 

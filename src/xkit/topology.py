@@ -7,9 +7,11 @@ The Euler characteristic is then the alternating sum of face counts
     ``chi = N_0 - N_1 + N_2 - N_3``
 
 with the sign convention anchored so that a single occupied site counts +1.
-Face counting is done with shifted boolean (or running-minimum) array
-reductions, never by materialising face lists, so memory stays proportional
-to the grid.
+Face counting is done with shifted array reductions, never by materialising
+face lists, so memory stays proportional to the grid: a logical AND over a
+mask's corners for one level, and for a whole EC curve a minimum over each
+site's level rank (the number of levels at or below its value), after which
+the curve is a histogram of small integers.
 
 The count is exact for the lattice complex, but as an estimate of the
 continuum EC of ``{f >= u}`` it carries a bias that depends on the grid
@@ -94,9 +96,9 @@ def _corner_reductions(arr: np.ndarray, op):
 
     ``reduced`` combines, by the binary ``op``, the ``2^|bits|`` corners of
     each face spanning the axes in ``bits`` (``np.logical_and`` on a mask:
-    the face is present; ``np.minimum`` on values: the level where it
-    appears).  Subsets are enumerated by bitmask and reuse the reduction of
-    their largest proper prefix.
+    the face is present; ``np.minimum`` on level ranks: the rank of the level
+    where it appears).  Subsets are enumerated by bitmask and reuse the
+    reduction of their largest proper prefix.
     """
     reduced = {0: arr}
     for bits in range(1 << arr.ndim):
@@ -169,10 +171,15 @@ class ECCurve:
 def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) -> ECCurve:
     """Empirical EC curve of a lattice field over strictly increasing levels.
 
-    Rather than rebuilding a mask per level, each face's appearance level
-    (the minimum of its corner values) is computed once per axis subset;
-    the count of faces present at level ``u`` is then a sorted-array lookup,
-    making the whole curve barely more expensive than a single level.
+    Rather than rebuilding a mask per level, the sites are ranked against the
+    levels once: one argsort of the values, one search of the levels, and
+    each site's rank is the number of levels at or below its value (a uint8
+    for up to 255 levels).  The rank does not decrease with the value, so the
+    minimum of a face's corner ranks is the rank of its corner minimum, and
+    the face is present at ``levels[k]`` exactly when that rank exceeds ``k``.
+    Each face type adds its signed histogram of minimum ranks into one, and
+    the curve is that histogram's reverse cumulative sum: exact integers,
+    ties included, for the cost of one sort.
 
     Each value is the exact EC of the lattice's closed cubical complex.  As
     an estimate of the continuum EC it is biased by an amount that depends
@@ -186,12 +193,17 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     values = field.values
     if not 1 <= values.ndim <= _MAX_DIM:
         raise ValueError(f"unsupported dimension {values.ndim}")
-    chi = np.zeros(levels.size, dtype=np.int64)
-    for bits, minima in _corner_reductions(values, np.minimum):
-        flat = np.sort(minima, axis=None)
-        # number of faces with corner-minimum >= u
-        present = flat.size - np.searchsorted(flat, levels, side="left")
-        chi += (-1) ** bits.bit_count() * present
+    order = np.argsort(values, axis=None)
+    cut = np.searchsorted(values.ravel()[order], levels, side="left")
+    # the sites (0-faces) per rank, which is also the histogram of the ranks
+    faces = np.diff(cut, prepend=0, append=values.size)
+    rank = np.empty(values.size, dtype=np.min_scalar_type(levels.size))
+    rank[order] = np.repeat(np.arange(levels.size + 1, dtype=rank.dtype), faces)
+    for bits, minima in _corner_reductions(rank.reshape(values.shape), np.minimum):
+        if bits:
+            faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
+    # faces present at levels[k] are those whose minimum rank exceeds k
+    chi = np.cumsum(faces[:0:-1])[::-1]
     base_meta = {"shape": "x".join(str(n) for n in field.shape), "spacing": repr(field.spacing)}
     if meta:
         base_meta.update(meta)

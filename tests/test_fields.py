@@ -205,6 +205,17 @@ def test_compact_torus_is_never_larger_than_the_power_of_two_torus(monkeypatch):
     assert compact[-3:] == [(420, 420), (486, 486), (308, 308)]
 
 
+def test_amplitude_cache_holds_eight_half_spectra():
+    # The memory bound stated beside the cache: at most 8 entries, each a float64
+    # half spectrum on the torus; the 64**3 grid of criterion 7 takes 2.4 MB.
+    assert fields_mod._amplitude.cache_parameters()["maxsize"] == 8
+    cov = CovarianceModel(variance=1.0, lambda2=880.0)
+    sizes, amplitude = fields_mod._amplitude(cov, (64, 64, 64), 1 / 63)
+    assert sizes == (84, 84, 84)
+    assert amplitude.shape == (84, 84, 43) and amplitude.dtype == np.float64
+    assert amplitude.nbytes == 2_427_264
+
+
 def _draw_map(cov, shape, spacing, monkeypatch):
     # The draw as a matrix: column i is the field drawn when the normal deviates
     # are the i-th unit vector (the seed picks the vector).

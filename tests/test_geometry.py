@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import xkit.geometry as geometry_mod
 from xkit.geometry import (
     GMFSeries,
     LKCVector,
@@ -224,6 +225,14 @@ def test_gaussian_gmf_vanishes_at_infinity():
     assert all(abs(s[j]) < 1e-300 for j in range(1, 4))
 
 
+def test_one_level_gmf_fronts_refuse_non_finite_levels():
+    for u in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"level u must be finite, got {u}"):
+            gaussian_gmf(u, 2)
+        with pytest.raises(ValueError, match=f"level u must be finite, got {u}"):
+            chi2_gmf(u, 5, 2)
+
+
 # ---------------------------------------------------------------------------
 # chi-square Minkowski functionals
 # ---------------------------------------------------------------------------
@@ -329,6 +338,40 @@ def test_chi2_gmf_monotone_tail_in_u():
     u = np.linspace(0.0, 20.0, 81)
     m0 = np.array([chi2_gmf(float(v), 5, 0)[0] for v in u])
     assert np.all(np.diff(m0) <= 0)
+
+
+# ---------------------------------------------------------------------------
+# F Minkowski functionals
+# ---------------------------------------------------------------------------
+
+def _mp_f_gmf(u, n: int, m: int, j: int, mp):
+    """Worsley's (1994) ``M_j`` of ``{F(n, m) >= u}``, term by term in mpmath."""
+    u, n, m = mp.mpf(u), mp.mpf(n), mp.mpf(m)
+    x = n * u / m
+    g = mp.gamma((n + m - j) / 2) / (mp.gamma(n / 2) * mp.gamma(m / 2))
+    q = [
+        [1],
+        [-(n - 1), m - 1],
+        [(n - 1) * (n - 2), -(2 * n * m - n - m - 1), (m - 1) * (m - 2)],
+    ][j - 1]
+    poly = sum(c * x**i for i, c in enumerate(q))
+    scale = mp.mpf(2) ** (mp.mpf(2 - j) / 2) * g
+    return scale * x ** ((n - j) / 2) * (1 + x) ** (-(n + m - 2) / 2) * poly
+
+
+def test_f_gmfs_match_50_digit_mpmath_at_large_degrees_of_freedom():
+    # Three lgamma values near 10^4 used to carry their rounding into every level
+    # (1.1e-12 of the peak at F(2000, 5), 1.0e-12 at F(1000, 1000)); centred on
+    # u = 1 with Stirling's form the error is below 4e-14.
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        cases = ((2000, 5, np.linspace(0.1, 8.0, 80)), (1000, 1000, np.linspace(0.8, 1.25, 80)))
+        for n, m, levels in cases:
+            got = geometry_mod._f_gmfs(levels, n, m, 3)
+            for j in (1, 2, 3):
+                want = np.array([float(_mp_f_gmf(u, n, m, j, mpmath)) for u in levels])
+                err = np.max(np.abs(got[j] - want)) / np.max(np.abs(want))
+                assert err < 1e-13, (n, m, j, err)
 
 
 # ---------------------------------------------------------------------------

@@ -170,6 +170,26 @@ def test_ec_curve_matches_per_level_recount():
     assert curve.meta["shape"] == "20x20"
 
 
+def test_ec_curve_counts_ties_exactly_against_per_level_recount():
+    # Values and levels on a quarter grid, so many sites sit exactly on a level,
+    # where a face is present because its corner minimum is >= u.
+    rng = np.random.default_rng(11)
+    shapes = [(1,), (9,), (1, 1), (7, 5), (1, 6), (1, 1, 1), (4, 5, 3), (3, 1, 4)]
+    level_sets = [
+        np.arange(-2.5, 2.75, 0.25),  # from below the minimum to above the maximum
+        np.array([0.0]),  # a single level
+        np.array([-10.0, 10.0]),  # below the minimum and above the maximum only
+        np.arange(-320, 321) / 128.0,  # 641 levels: ranks no longer fit a uint8
+    ]
+    for shape in shapes:
+        f = LatticeField(values=rng.integers(-8, 9, size=shape) / 4.0, spacing=0.1)
+        before = f.values.copy()
+        for levels in level_sets:
+            direct = [euler_characteristic(excursion_mask(f, u)) for u in levels]
+            assert ec_curve(f, levels).values.tolist() == direct, (shape, levels.size)
+        assert np.array_equal(f.values, before)
+
+
 def test_ec_curve_endpoints():
     rng = np.random.default_rng(4)
     f = LatticeField(values=rng.standard_normal((16, 16, 4)), spacing=0.1)
