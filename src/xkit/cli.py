@@ -115,7 +115,7 @@ def _domain_from_args(args) -> Rectangle:
         return Rectangle(tuple(float(s) for s in args.sides.split(",")))
     if args.cube is None or args.dim is None:
         raise ValueError("domain needs --cube SIDE with --dim N, or --sides T1,T2[,T3]")
-    return Rectangle((args.cube,) * args.dim)
+    return Rectangle.cube(args.cube, args.dim)
 
 
 def _field_domain(field: LatticeField) -> Rectangle:
@@ -236,8 +236,7 @@ def _emit_curve(curve: ECCurve, out: str | None) -> None:
 def cmd_ec_curve(args) -> int:
     field = read_field(args.field)
     levels = parse_levels(args.levels)
-    curve = ec_curve(field, levels)
-    curve = replace(curve, meta={**curve.meta, "source": str(args.field), "levels": args.levels})
+    curve = ec_curve(field, levels, meta={"source": str(args.field), "levels": args.levels})
     _emit_curve(curve, args.out)
     return 0
 
@@ -288,7 +287,7 @@ def cmd_identify(args) -> int:
         matrix, variance = estimate_spectral_moments(field)
         cov = CovarianceModel(variance=variance, matrix=matrix)
     else:
-        cov = CovarianceModel(variance=args.variance, lambda2=args.lambda2)
+        cov = _covariance_from_args(args)
     tokens = [t for t in args.candidates.split(",") if t]
     if not tokens:
         raise ValueError("candidate list is empty")

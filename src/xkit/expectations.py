@@ -46,7 +46,7 @@ from .fields import (
     simulate_model,
 )
 from .geometry import GMFSeries, LKCVector, Rectangle, _gaussian_gmfs, flag_coefficient
-from .topology import ECCurve, _check_levels, ec_curve
+from .topology import ECCurve, _check_levels, _finite_levels, ec_curve
 
 __all__ = [
     "CapabilityError",
@@ -173,23 +173,23 @@ def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: floa
 
     ``sigma2`` is the field variance and ``lambda2`` the raw second spectral
     moment (derivative variance); the sum carries ``(lambda2/sigma2)^(k/2)``
-    so that only the unit-variance roughness enters.  Accepts scalar or
-    array levels; the values are those of :func:`expected_ec_curve` for the
-    matching :class:`~xkit.fields.GaussianModel`, bit for bit.
+    so that only the unit-variance roughness enters.  Accepts finite scalar
+    or array levels; the values are those of :func:`expected_ec_curve` for
+    the matching :class:`~xkit.fields.GaussianModel`, bit for bit.
     """
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     if not (math.isfinite(lambda2) and lambda2 > 0):
         raise ValueError(f"lambda2 must be positive, got {lambda2}")
     model = GaussianModel(CovarianceModel(variance=sigma2, lambda2=lambda2 / sigma2))
-    return _closed_form(model, _metric_lkcs(model, rect), np.asarray(u, dtype=float))
+    return _closed_form(model, _metric_lkcs(model, rect), _finite_levels(u))
 
 
 def expected_ec_stationary_rectangle(rect: Rectangle, spectral: np.ndarray, u):
     """Expected EC for a unit-variance stationary Gaussian field with
-    spectral-moment matrix ``spectral`` (anisotropy allowed)."""
+    spectral-moment matrix ``spectral`` (anisotropy allowed), at finite levels."""
     model = GaussianModel(CovarianceModel(matrix=spectral))
-    return _closed_form(model, _metric_lkcs(model, rect), np.asarray(u, dtype=float))
+    return _closed_form(model, _metric_lkcs(model, rect), _finite_levels(u))
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +257,9 @@ def expected_lkc_high_level(
 
     Supply either a metric LKC vector (its top entry is used) or a rectangle
     plus a callable ``metric(x) -> Lambda(x)`` whose top curvature is then
-    integrated by quadrature.
+    integrated by quadrature.  The level must be finite.
     """
+    u = _finite_levels(u)
     if (lkcs is None) == (rect is None and metric is None):
         raise ValueError("supply either lkcs or (rect and metric)")
     if lkcs is not None:
@@ -313,27 +314,46 @@ def _simulation_average(
         return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
 
 
-def _expected_values(
+def expected_ec_curve(
     model: FieldModel,
-    rect: Rectangle,
-    levels: np.ndarray,
-    order: int,
-    sim_shape: tuple[int, ...] | None,
-    sim_reps: int,
-    jobs: int,
-) -> np.ndarray:
-    """E L_order of ``{f >= u}`` at each level: the one place a model picks its route.
+    domain: Rectangle,
+    levels,
+    *,
+    order: int = 0,
+    sim_shape: tuple[int, ...] | None = None,
+    sim_reps: int = 40,
+    jobs: int = 1,
+) -> ECCurve:
+    """Expected EC (or order-``order`` curvature) of excursion sets, per level.
 
-    Gaussian, chi-square, T and F fields take the kinematic sum over the
-    functionals their ``_gmfs`` hook returns for all levels at once;
-    gaussianised fields, which have no closed form, a cached simulation
+    This is the one place a model picks its route.  Gaussian, chi-square, T
+    and F models use the Gaussian kinematic formula with closed-form EC
+    densities (Taylor 2006; Worsley 1994): the kinematic sum over the
+    functionals their ``_gmfs`` hook returns for all levels at once.
+    Gaussianised models, which have no closed form, use a cached simulation
     average on a ``sim_shape`` lattice.
     """
-    dim = rect.dim
+    levels = _check_levels(levels)
+    dim = domain.dim
     if not 0 <= order <= dim:
         raise ValueError(f"order must lie in 0..{dim}, got {order}")
+    meta = {
+        "model": model.name,
+        "domain": "x".join(repr(s) for s in domain.sides),
+        "order": str(order),
+    }
+    cov = model.cov
+    if cov.matrix is None:
+        meta["lambda2"] = repr(cov.lambda2)
+    else:
+        meta["spectral_matrix"] = ";".join(
+            ",".join(repr(float(v)) for v in row) for row in cov.matrix
+        )
+    if cov.variance != 1.0:
+        meta["variance"] = repr(cov.variance)
     if not isinstance(model, GaussianisedModel):
-        return _closed_form(model, _metric_lkcs(model, rect), levels, order)
+        values = _closed_form(model, _metric_lkcs(model, domain), levels, order)
+        return ECCurve(levels=levels, values=values, kind="expected", meta=meta)
     if order != 0:
         raise CapabilityError(
             "expected curvatures of gaussianised fields are only available "
@@ -347,55 +367,18 @@ def _expected_values(
     sim_shape = tuple(int(n) for n in sim_shape)
     if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
         raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
-    spacings = [rect.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
+    spacings = [domain.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
     if max(spacings) - min(spacings) > 1e-9 * max(spacings):
         raise ValueError(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
-            f"rectangle {rect.sides}; lattice fields use one spacing"
+            f"rectangle {domain.sides}; lattice fields use one spacing"
         )
     if sim_reps < 1:
         raise ValueError(f"sim_reps must be >= 1, got {sim_reps}")
+    meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
+    meta["sim_reps"] = str(sim_reps)
     average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)
-    return average.copy()
-
-
-def expected_ec_curve(
-    model: FieldModel,
-    domain: Rectangle,
-    levels,
-    *,
-    order: int = 0,
-    sim_shape: tuple[int, ...] | None = None,
-    sim_reps: int = 40,
-    jobs: int = 1,
-) -> ECCurve:
-    """Expected EC (or order-``order`` curvature) of excursion sets, per level.
-
-    Gaussian, chi-square, T and F models use the Gaussian kinematic formula
-    with closed-form EC densities (Taylor 2006; Worsley 1994), vectorised
-    over the levels; gaussianised models a cached simulation average on a
-    ``sim_shape`` lattice.
-    """
-    levels = _check_levels(levels)
-    values = _expected_values(model, domain, levels, order, sim_shape, sim_reps, jobs)
-    meta = {
-        "model": model.name,
-        "domain": "x".join(repr(s) for s in domain.sides),
-        "order": str(order),
-    }
-    cov = model.cov
-    if cov.matrix is None:
-        meta["lambda2"] = repr(cov.lambda2)
-    else:
-        meta["spectral_matrix"] = ";".join(
-            ",".join(repr(v) for v in row) for row in cov.matrix
-        )
-    if cov.variance != 1.0:
-        meta["variance"] = repr(cov.variance)
-    if isinstance(model, GaussianisedModel):
-        meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
-        meta["sim_reps"] = str(sim_reps)
-    return ECCurve(levels=levels, values=values, kind="expected", meta=meta)
+    return ECCurve(levels=levels, values=average.copy(), kind="expected", meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -569,9 +552,9 @@ def identify_model(
         sim_shape = tuple(int(t) for t in curve.meta["shape"].split("x"))
     ranked = []
     for model in candidates:
-        expected = _expected_values(
-            model, domain, curve.levels, 0, sim_shape, sim_reps, jobs
-        )
+        expected = expected_ec_curve(
+            model, domain, curve.levels, sim_shape=sim_shape, sim_reps=sim_reps, jobs=jobs
+        ).values
         ranked.append((model, float(np.mean((curve.values - expected) ** 2))))
     ranked.sort(key=lambda item: item[1])  # stable: ties keep candidate order
     return ranked

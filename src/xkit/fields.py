@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -94,14 +95,15 @@ class CovarianceModel:
     matrix: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "variance", float(self.variance))
         if not (math.isfinite(self.variance) and self.variance > 0):
             raise ValueError(f"variance must be positive, got {self.variance}")
         if (self.lambda2 is None) == (self.matrix is None):
             raise ValueError("specify exactly one of lambda2 or matrix")
-        if self.lambda2 is not None and not (
-            math.isfinite(self.lambda2) and self.lambda2 > 0
-        ):
-            raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
+        if self.lambda2 is not None:
+            object.__setattr__(self, "lambda2", float(self.lambda2))
+            if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
+                raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _check_spectral_matrix(self.matrix))
 
@@ -116,10 +118,6 @@ class CovarianceModel:
 
     def __hash__(self):
         return hash(self._key())
-
-    @property
-    def isotropic(self) -> bool:
-        return self.lambda2 is not None
 
     def spectral_matrix(self, dim: int) -> np.ndarray:
         """The matrix of second spectral moments in ``dim`` dimensions."""
@@ -153,6 +151,14 @@ def _check_spectral_matrix(matrix) -> np.ndarray:
 
 def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
     return cov if cov.variance == 1.0 else replace(cov, variance=1.0)
+
+
+def _whole(value, what: str) -> int:
+    """``value`` as an ``int``, refused unless it is an integer (numpy's included)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 # Each model class carries the facts that depend only on the model: how a field
@@ -194,6 +200,7 @@ class ChiSquaredModel:
     standardized: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _whole(self.k, "degrees of freedom"))
         if self.k < 1:
             raise ValueError(f"degrees of freedom must be >= 1, got {self.k}")
         object.__setattr__(self, "cov", _unit_variance(self.cov))
@@ -226,6 +233,7 @@ class TFieldModel:
     cov: CovarianceModel
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _whole(self.k, "the component count k"))
         if self.k < 2:
             raise ValueError(f"a T field needs k >= 2 components, got {self.k}")
         object.__setattr__(self, "cov", _unit_variance(self.cov))
@@ -259,6 +267,8 @@ class FFieldModel:
     cov: CovarianceModel
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _whole(self.n, "degrees of freedom n"))
+        object.__setattr__(self, "m", _whole(self.m, "degrees of freedom m"))
         if self.n < 1 or self.m < 1:
             raise ValueError(f"F field needs n, m >= 1, got n={self.n}, m={self.m}")
         object.__setattr__(self, "cov", _unit_variance(self.cov))
@@ -336,6 +346,7 @@ class LatticeField:
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
+        object.__setattr__(self, "spacing", float(self.spacing))
         if values.size == 0:
             raise ValueError("field must contain at least one sample")
         if not np.all(np.isfinite(values)):

@@ -137,10 +137,6 @@ class Rectangle:
     def dim(self) -> int:
         return len(self.sides)
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.sides))
-
     @classmethod
     def cube(cls, side: float, dim: int) -> "Rectangle":
         return cls((side,) * dim)
@@ -231,8 +227,8 @@ def tube_volume_rectangle(rect: Rectangle, rho: float) -> float:
     ``vol(Tube(A, rho)) = sum_{j=0}^{N} omega_{N-j} rho^{N-j} L_j(A)``
     where ``N = rect.dim`` and ``omega_j`` is the unit-ball volume.
     """
-    if rho < 0:
-        raise ValueError(f"tube radius must be >= 0, got {rho}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ValueError(f"tube radius must be finite and >= 0, got {rho}")
     lkcs = rectangle_lkcs(rect)
     n = rect.dim
     return float(

@@ -8,10 +8,10 @@ The Euler characteristic is then the alternating sum of face counts
 
 with the sign convention anchored so that a single occupied site counts +1.
 Face counting is done with shifted array reductions, never by materialising
-face lists, so memory stays proportional to the grid: a logical AND over a
-mask's corners for one level, and for a whole EC curve a minimum over each
-site's level rank (the number of levels at or below its value), after which
-the curve is a histogram of small integers.
+face lists, so memory stays proportional to the grid.  Every reduction is a
+minimum over a face's corners: over a mask's corners for one level, and for
+a whole EC curve over each site's level rank (the number of levels at or
+below its value), after which the curve is a histogram of small integers.
 
 The count is exact for the lattice complex, but as an estimate of the
 continuum EC of ``{f >= u}`` it carries a bias that depends on the grid
@@ -27,6 +27,7 @@ and 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,50 +74,57 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _finite_levels(levels) -> np.ndarray:
+    """``levels`` as a float array of any shape, checked finite."""
+    levels = np.asarray(levels, dtype=float)
+    finite = np.isfinite(levels)
+    if not np.all(finite):
+        raise ValueError(f"levels must be finite, got {float(levels[~finite][0])}")
+    return levels
+
+
 def _check_levels(levels) -> np.ndarray:
     """``levels`` as a float array, checked non-empty, 1-d, finite and strictly increasing."""
     levels = np.asarray(levels, dtype=float)
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
-    finite = np.isfinite(levels)
-    if not np.all(finite):
-        raise ValueError(f"levels must be finite, got {float(levels[~finite][0])}")
+    _finite_levels(levels)
     if np.any(np.diff(levels) <= 0):
         raise ValueError("levels must be strictly increasing")
     return levels
 
 
-def _reduce_along(arr: np.ndarray, axis: int, op) -> np.ndarray:
+def _reduce_along(arr: np.ndarray, axis: int) -> np.ndarray:
+    """The minimum of each pair of neighbours along ``axis``."""
     lead = (slice(None),) * axis
-    return op(arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)])
+    return np.minimum(arr[lead + (slice(0, -1),)], arr[lead + (slice(1, None),)])
 
 
-def _corner_reductions(arr: np.ndarray, op):
-    """Yield ``(bits, reduced)`` for every axis subset ``bits``, the full set last.
+def _corner_reductions(arr: np.ndarray):
+    """Yield ``(bits, reduced)`` for every axis subset ``bits``.
 
-    ``reduced`` combines, by the binary ``op``, the ``2^|bits|`` corners of
-    each face spanning the axes in ``bits`` (``np.logical_and`` on a mask:
-    the face is present; ``np.minimum`` on level ranks: the rank of the level
-    where it appears).  Subsets are enumerated by bitmask and reuse the
-    reduction of their largest proper prefix.
+    ``reduced`` is the minimum over the ``2^|bits|`` corners of each face
+    spanning the axes in ``bits``: on a mask, the AND (the face is present);
+    on level ranks, the rank of the level where the face appears.  Subsets
+    are enumerated by bitmask and reuse the reduction of their largest
+    proper prefix.
     """
     reduced = {0: arr}
     for bits in range(1 << arr.ndim):
         if bits:
             low = bits & -bits
-            reduced[bits] = _reduce_along(reduced[bits ^ low], low.bit_length() - 1, op)
+            reduced[bits] = _reduce_along(reduced[bits ^ low], low.bit_length() - 1)
         yield bits, reduced[bits]
 
 
 def face_counts(mask: np.ndarray) -> np.ndarray:
     """Counts ``(N_0, ..., N_dim)`` of k-faces present in the closed complex.
 
-    A k-face spanning axis subset ``S`` is present when the boolean AND over
-    its corners is true.
+    A k-face spanning axis subset ``S`` is present when all its corners are.
     """
     mask = _check_mask(mask)
     counts = np.zeros(mask.ndim + 1, dtype=np.int64)
-    for bits, present in _corner_reductions(mask, np.logical_and):
+    for bits, present in _corner_reductions(mask):
         counts[bits.bit_count()] += int(present.sum())
     return counts
 
@@ -199,7 +207,7 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     faces = np.diff(cut, prepend=0, append=values.size)
     rank = np.empty(values.size, dtype=np.min_scalar_type(levels.size))
     rank[order] = np.repeat(np.arange(levels.size + 1, dtype=rank.dtype), faces)
-    for bits, minima in _corner_reductions(rank.reshape(values.shape), np.minimum):
+    for bits, minima in _corner_reductions(rank.reshape(values.shape)):
         if bits:
             faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
     # faces present at levels[k] are those whose minimum rank exceeds k
@@ -222,12 +230,13 @@ def geometric_measures(mask: np.ndarray, spacing: float) -> LKCVector:
     if not (math.isfinite(spacing) and spacing > 0):
         raise ValueError(f"spacing must be positive, got {spacing}")
     dim = mask.ndim
-    *_, (_, cells) = _corner_reductions(mask, np.logical_and)
+    cells = functools.reduce(_reduce_along, range(dim), mask)
     n_cells = int(cells.sum())
     boundary = 0
     for axis in range(dim):
         padded = np.pad(cells, [(1, 1) if a == axis else (0, 0) for a in range(dim)])
-        boundary += int(_reduce_along(padded, axis, np.logical_xor).sum())
+        # a boolean diff is `!=`: true on a facet between an occupied and an empty cell
+        boundary += int(np.count_nonzero(np.diff(padded, axis=axis)))
     out = np.full(dim + 1, np.nan)
     out[dim] = spacing ** dim * n_cells
     out[dim - 1] = 0.5 * spacing ** (dim - 1) * boundary

@@ -48,6 +48,7 @@ from xkit.geometry import (
     gaussian_gmf,
     gaussian_tail,
     rectangle_lkcs,
+    tube_volume_rectangle,
 )
 from xkit.topology import ECCurve, ec_curve
 
@@ -429,6 +430,38 @@ def test_expected_curve_level_validation():
         for levels in ([0.0, np.inf], [-np.inf, 0.0]):
             with pytest.raises(ValueError, match="levels must be finite"):
                 expected_ec_curve(model, SQUARE, levels)
+
+
+def test_closed_form_fronts_refuse_non_finite_levels():
+    # a non-finite level has no expected EC: the sums would give NaN, or warn at infinity
+    lkcs = metric_rectangle_lkcs(SQUARE, SPECTRAL[2])
+    for u in (math.nan, math.inf, -math.inf):
+        message = f"levels must be finite, got {u}"
+        with pytest.raises(ValueError, match=message):
+            expected_ec_gaussian_rectangle(SQUARE, 1.0, 200.0, u)
+        with pytest.raises(ValueError, match=message):
+            expected_ec_gaussian_rectangle(SQUARE, 1.0, 200.0, np.array([3.0, u, -1.0]))
+        with pytest.raises(ValueError, match=message):
+            expected_ec_stationary_rectangle(SQUARE, SPECTRAL[2], np.array([2.0, u]))
+        with pytest.raises(ValueError, match=message):
+            expected_lkc_high_level(u, 0, lkcs=lkcs)
+        with pytest.raises(ValueError, match=message):
+            expected_lkc_high_level(u, 1, rect=SQUARE, metric=lambda x: SPECTRAL[2])
+        with pytest.raises(ValueError, match=f"tube radius must be finite and >= 0, got {u}"):
+            tube_volume_rectangle(SQUARE, u)
+    # unsorted arrays and scalars stay accepted
+    values = expected_ec_gaussian_rectangle(SQUARE, 1.0, 200.0, np.array([3.0, -1.0]))
+    assert values[0] == expected_ec_gaussian_rectangle(SQUARE, 1.0, 200.0, 3.0)
+
+
+def test_expected_curve_metadata_holds_python_floats():
+    # provenance holds plain floats, "80.0" and not "np.float64(80.0)"
+    matrix = np.array([[80.0, 10.0], [10.0, 60.0]])
+    curve = expected_ec_curve(GaussianModel(CovarianceModel(matrix=matrix)), SQUARE, [0.0, 1.0])
+    assert curve.meta["spectral_matrix"] == "80.0,10.0;10.0,60.0"
+    cov = CovarianceModel(variance=np.float64(2.0), lambda2=np.float64(20.0))
+    curve = expected_ec_curve(GaussianModel(cov), SQUARE, [0.0, 1.0])
+    assert (curve.meta["lambda2"], curve.meta["variance"]) == ("20.0", "2.0")
 
 
 def _worsley_chi2_densities(u, k):

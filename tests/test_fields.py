@@ -119,6 +119,36 @@ def test_model_name_strings_and_guards():
         GaussianisedModel(GaussianisedModel(ChiSquaredModel(k=3, cov=COV20)))
 
 
+def test_degrees_of_freedom_must_be_integers():
+    # a fractional count names a model that can be neither simulated nor evaluated
+    for build in (
+        lambda: ChiSquaredModel(k=2.5, cov=COV20),
+        lambda: TFieldModel(k=2.5, cov=COV20),
+        lambda: FFieldModel(n=2.5, m=7, cov=COV20),
+        lambda: FFieldModel(n=2, m=7.0, cov=COV20),
+        lambda: GaussianisedModel(ChiSquaredModel(k=3.5, cov=COV20)),
+    ):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
+    # numpy integers are accepted and stored as int
+    chisq = ChiSquaredModel(k=np.int64(3), cov=COV20)
+    t = TFieldModel(k=np.int32(5), cov=COV20)
+    f = FFieldModel(n=np.int64(2), m=np.uint8(7), cov=COV20)
+    assert (type(chisq.k), type(t.k), type(f.n), type(f.m)) == (int, int, int, int)
+    assert (chisq.name, t.name, f.name) == ("chisq:3", "t:5", "f:2:7")
+    assert chisq == ChiSquaredModel(k=3, cov=COV20)
+
+
+def test_numeric_parameters_are_stored_as_python_floats():
+    cov = CovarianceModel(variance=np.float64(2.0), lambda2=np.float32(20.0))
+    assert (type(cov.variance), type(cov.lambda2)) == (float, float)
+    assert repr(cov) == "CovarianceModel(variance=2.0, lambda2=20.0)"
+    assert cov == CovarianceModel(variance=2.0, lambda2=20.0)
+    field = LatticeField(values=np.zeros((3, 3)), spacing=np.float64(0.05))
+    assert type(field.spacing) is float
+    assert repr(field) == "LatticeField(shape=(3, 3), spacing=0.05)"
+
+
 def test_gaussian_related_models_force_unit_variance():
     noisy = CovarianceModel(variance=7.0, lambda2=20.0)
     assert ChiSquaredModel(k=3, cov=noisy).cov.variance == 1.0

@@ -310,6 +310,36 @@ def test_geometric_measures_box_in_three_dimensions():
     assert math.isnan(lkcs[1]) and math.isnan(lkcs[0])
 
 
+def test_geometric_measures_of_irregular_masks_against_brute_force():
+    rng = np.random.default_rng(11)
+    for shape in [(40,), (1,), (12, 9), (1, 6), (7, 6, 5), (2, 3, 2)]:
+        for p in (0.3, 0.7, 0.9):
+            mask = rng.random(shape) < p
+            dim = mask.ndim
+            spacing = 0.25
+            # a cell is a site whose 2^d corners are all set
+            cells = set()
+            for site in np.ndindex(*(n - 1 for n in shape)):
+                corners = (
+                    tuple(s + o for s, o in zip(site, offset))
+                    for offset in np.ndindex(*(2,) * dim)
+                )
+                if all(mask[c] for c in corners):
+                    cells.add(site)
+            # a boundary facet belongs to one occupied cell only
+            boundary = 0
+            for site in cells:
+                for axis in range(dim):
+                    for step in (-1, 1):
+                        neighbour = list(site)
+                        neighbour[axis] += step
+                        boundary += tuple(neighbour) not in cells
+            lkcs = geometric_measures(mask, spacing)
+            assert lkcs[dim] == spacing ** dim * len(cells), (shape, p)
+            assert lkcs[dim - 1] == 0.5 * spacing ** (dim - 1) * boundary, (shape, p)
+            assert all(math.isnan(lkcs[j]) for j in range(dim - 1))
+
+
 def test_geometric_measures_guards():
     with pytest.raises(ValueError):
         geometric_measures(np.ones((4, 4), dtype=bool), 0.0)
