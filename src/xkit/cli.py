@@ -172,30 +172,21 @@ def _config_tokens(path: str) -> list[str]:
     return tokens
 
 
+# Reads ``--config`` wherever it stands, written out in full only: the
+# subcommands declare it too, for ``--help``, and ``main`` refuses what their
+# abbreviation matching lets through.
+_CONFIG_PARSER = argparse.ArgumentParser(prog="xkit", add_help=False, allow_abbrev=False)
+_CONFIG_PARSER.add_argument("--config")
+
+
 def _splice_config(argv: list[str]) -> list[str]:
     """Remove ``--config PATH`` from argv and splice the file's tokens in."""
-    path = None
-    cleaned: list[str] = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a file path")
-            path = argv[i + 1]
-            i += 2
-            continue
-        if tok.startswith("--config="):
-            path = tok.partition("=")[2]
-            i += 1
-            continue
-        cleaned.append(tok)
-        i += 1
-    if path is None:
-        return cleaned
-    if not cleaned:
+    known, rest = _CONFIG_PARSER.parse_known_args(argv)
+    if known.config is None:
+        return rest
+    if not rest:
         raise ValueError("--config needs a subcommand before it")
-    return cleaned[:1] + _config_tokens(path) + cleaned[1:]
+    return rest[:1] + _config_tokens(known.config) + rest[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +203,8 @@ def cmd_simulate(args) -> int:
             ("model", args.model),
             ("shape", args.shape),
             ("spacing", repr(args.spacing)),
-            ("lambda2", repr(args.lambda2)),
-            ("variance", repr(args.variance)),
+            ("lambda2", repr(model.cov.lambda2)),
+            ("variance", repr(model.cov.variance)),
             ("seed", args.seed),
             ("out", args.out),
         ]
@@ -268,8 +259,8 @@ def cmd_threshold(args) -> int:
         [
             ("model", args.model),
             ("domain", "x".join(repr(s) for s in domain.sides)),
-            ("lambda2", repr(args.lambda2)),
-            ("variance", repr(args.variance)),
+            ("lambda2", repr(model.cov.lambda2)),
+            ("variance", repr(model.cov.variance)),
         ]
     )
     sys.stdout.write(result.as_text())
@@ -412,6 +403,8 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     try:
         args = build_parser().parse_args(_splice_config(list(argv)))
+        if args.config is not None:
+            raise ValueError("--config must be written out in full on the command line")
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -222,17 +222,13 @@ def top_lkc_quadrature(rect: Rectangle, metric, rel_tol: float = 1e-8) -> float:
 
 
 def _tensor_gauss_legendre(rect: Rectangle, metric, nodes: int) -> float:
-    points = []
-    weights = []
     base_x, base_w = np.polynomial.legendre.leggauss(nodes)
-    for side in rect.sides:
-        points.append(0.5 * side * (base_x + 1.0))
-        weights.append(0.5 * side * base_w)
+    axes = [zip(0.5 * side * (base_x + 1.0), 0.5 * side * base_w) for side in rect.sides]
     total = 0.0
     dim = rect.dim
-    for index in itertools.product(range(nodes), repeat=dim):
-        x = np.array([points[a][index[a]] for a in range(dim)])
-        w = math.prod(weights[a][index[a]] for a in range(dim))
+    for pairs in itertools.product(*axes):
+        point, weights = zip(*pairs)
+        x = np.array(point)
         lam = np.asarray(metric(x), dtype=float)
         if lam.shape != (dim, dim):
             raise ValueError(
@@ -241,7 +237,7 @@ def _tensor_gauss_legendre(rect: Rectangle, metric, nodes: int) -> float:
         det = float(np.linalg.det(lam))
         if det <= 0:
             raise ValueError(f"metric determinant must be positive, got {det} at {x}")
-        total += w * math.sqrt(det)
+        total += math.prod(weights) * math.sqrt(det)
     return total
 
 

@@ -92,7 +92,9 @@ class CovarianceModel:
 
     variance: float = 1.0
     lambda2: float | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False)
+    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # equality and hashing see the matrix by value, so equal matrices share cache entries
+    _matrix_bytes: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "variance", float(self.variance))
@@ -106,18 +108,7 @@ class CovarianceModel:
                 raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _check_spectral_matrix(self.matrix))
-
-    # Value semantics: a matrix enters through its bytes, so models holding
-    # equal matrices compare equal, hash alike and share cache entries.
-    def _key(self) -> tuple:
-        rough = self.lambda2 if self.matrix is None else self.matrix.tobytes()
-        return self.variance, rough
-
-    def __eq__(self, other):
-        return isinstance(other, CovarianceModel) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+            object.__setattr__(self, "_matrix_bytes", self.matrix.tobytes())
 
     def spectral_matrix(self, dim: int) -> np.ndarray:
         """The matrix of second spectral moments in ``dim`` dimensions."""
@@ -138,8 +129,9 @@ class CovarianceModel:
 
 
 def _check_spectral_matrix(matrix) -> np.ndarray:
-    """``matrix`` as a float array, checked square, symmetric and positive definite."""
-    m = np.asarray(matrix, dtype=float)
+    """A read-only float copy of ``matrix``, checked square, symmetric and positive definite."""
+    m = np.array(matrix, dtype=float)
+    m.flags.writeable = False
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral-moment matrix must be square")
     if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):

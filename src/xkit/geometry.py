@@ -332,12 +332,24 @@ def _chi2_gmfs(u, k: int, max_order: int):
 
 
 def _t_gmfs(t, nu: int, max_order: int):
-    """``[M_0, ..., M_J]`` of ``{T_nu >= t}`` (Worsley 1994, to order 3)."""
+    """``[M_0, ..., M_J]`` of ``{T_nu >= t}`` (Worsley 1994, to order 3).
+
+    ``M_2`` carries ``Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu/2))``.  It is taken
+    with Stirling's Gammas at ``top >= 30`` of ``nu``'s parity, where
+    ``_stirling_error`` uses the series, and brought down to ``nu`` by
+    ``Gamma(z+1) = z Gamma(z)`` in exact integers: ``lgamma`` rounds too coarsely.
+    """
     if max_order > 3:
         raise NotImplementedError(f"Student-t EC densities stop at order 3, got {max_order}")
     t = np.asarray(t, dtype=float)
-    density = (1.0 + t * t / nu) ** (-(nu - 1.0) / 2.0) / math.sqrt(2.0 * math.pi)
-    ratio = math.exp(math.lgamma((nu + 1.0) / 2.0) - math.lgamma(nu / 2.0)) / math.sqrt(nu / 2.0)
+    density = np.exp(-(nu - 1.0) / 2.0 * np.log1p(t * t / nu)) / math.sqrt(2.0 * math.pi)
+    top = max(nu, 30 + nu % 2)
+    steps = range(nu, top, 2)
+    ratio = math.sqrt(top * math.prod(steps) ** 2 / (nu * math.prod(s + 1 for s in steps) ** 2))
+    ratio *= math.exp(
+        top / 2.0 * math.log1p(1.0 / top) - 0.5
+        + _stirling_error((top + 1.0) / 2.0) - _stirling_error(top / 2.0)
+    )
     polys = [np.ones_like(t), ratio * t, (nu - 1.0) / nu * t * t - 1.0]
     return [special.stdtr(nu, -t)] + [p * density for p in polys[:max_order]]
 

@@ -407,6 +407,24 @@ def test_eec_domain_flag_validation(capsys):
 # threshold
 # ---------------------------------------------------------------------------
 
+def test_unit_variance_models_echo_the_variance_they_use(tmp_path, capsys):
+    # chi-square, t, F and gaussianised models force unit-variance components
+    base = ["threshold", "--lambda2", "20", "--cube", "1", "--dim", "2", "--alpha", "0.05"]
+    code, unit, _ = run_cli(base + ["--model", "chisq:5"], capsys)
+    assert code == 0 and "# variance=1.0" in unit
+    assert run_cli(base + ["--model", "chisq:5", "--variance", "4"], capsys) == (0, unit, "")
+    code, stdout, _ = run_cli(base + ["--model", "gaussian", "--variance", "4"], capsys)
+    assert code == 0 and "# variance=4.0" in stdout
+    sim = ["simulate", "--model", "chisq:3", "--shape", "64,64", "--spacing", "0.0078125",
+           "--lambda2", "200", "--seed", "3"]
+    a, b = tmp_path / "a.xkf", tmp_path / "b.xkf"
+    code, stdout, _ = run_cli(sim + ["--out", str(a)], capsys)
+    assert code == 0 and "# variance=1.0" in stdout
+    code, stdout, _ = run_cli(sim + ["--variance", "4", "--out", str(b)], capsys)
+    assert code == 0 and "# variance=1.0" in stdout
+    assert a.read_bytes() == b.read_bytes()
+
+
 def _parse_threshold(stdout: str) -> dict:
     values = {}
     for line in stdout.strip().split("\n"):
@@ -556,6 +574,8 @@ def test_config_file_supplies_defaults_and_flags_override(tmp_path, capsys):
     code, stdout, _ = run_cli(["eec", "--config", str(cfg), "--lambda2", "880"], capsys)
     assert code == 0
     assert "# lambda2=880.0" in stdout
+    # the file's tokens go after the subcommand wherever --config stands
+    assert run_cli(["--config", str(cfg), "eec", "--lambda2", "880"], capsys) == (0, stdout, "")
 
 
 def test_config_boolean_key(gaussian_field_file, tmp_path, capsys):
@@ -580,6 +600,26 @@ def test_config_error_paths(tmp_path, capsys):
     assert "key=value" in err
     assert run_cli(["--config", str(bad)], capsys)[0] == 2  # no subcommand
     assert run_cli(["eec", "--config"], capsys)[0] == 2  # dangling flag
+
+
+def test_abbreviated_config_is_refused_unread(tmp_path, capsys):
+    # argparse would match --conf to the subcommand's --config and drop its value
+    missing = tmp_path / "missing.cfg"
+    for flag in ("--conf", "--confi"):
+        code, stdout, err = run_cli(
+            ["threshold", flag, str(missing), "--model", "gaussian", "--lambda2", "20",
+             "--cube", "1", "--dim", "2", "--alpha", "0.05"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")  # 3 had the file been opened
+        assert "--config must be written out in full" in err
+
+
+def test_every_subcommand_help_lists_config(capsys):
+    for command in ("simulate", "ec-curve", "eec", "threshold", "identify"):
+        code, stdout, _ = run_cli([command, "--help"], capsys)
+        assert code == 0
+        assert "--config CONFIG" in stdout
 
 
 def test_jobs_env_default(monkeypatch, capsys):

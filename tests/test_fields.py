@@ -94,6 +94,19 @@ def test_covariance_models_compare_and_hash_by_value():
     np.testing.assert_array_equal(first.values, second.values)
 
 
+def test_covariance_model_keeps_its_own_read_only_matrix():
+    spectral = np.array([[200.0, 50.0], [50.0, 300.0]])
+    cov = CovarianceModel(matrix=spectral)
+    before = hash(cov)
+    assert not cov.matrix.flags.writeable
+    spectral[0, 0] = -5.0  # the caller's array, not the model's
+    assert cov.matrix[0, 0] == 200.0
+    assert hash(cov) == before
+    assert cov == CovarianceModel(matrix=[[200.0, 50.0], [50.0, 300.0]])
+    with pytest.raises(ValueError):
+        cov.matrix[0, 0] = -5.0
+
+
 def test_f_window_scale_is_the_f_law_standard_deviation():
     # the closed form sqrt(2 m^2 (n+m-2) / (n (m-2)^2 (m-4))) is scipy's, bit for bit
     for n in range(1, 30):

@@ -374,6 +374,30 @@ def test_f_gmfs_match_50_digit_mpmath_at_large_degrees_of_freedom():
                 assert err < 1e-13, (n, m, j, err)
 
 
+def _mp_t_gmf(t, nu: int, j: int, mp):
+    """Worsley's (1994) ``M_j`` of ``{T_nu >= t}``, term by term in mpmath."""
+    t, nu = mp.mpf(t), mp.mpf(nu)
+    ratio = mp.gamma((nu + 1) / 2) / (mp.gamma(nu / 2) * mp.sqrt(nu / 2))
+    poly = [1, ratio * t, (nu - 1) / nu * t**2 - 1][j - 1]
+    return poly * (1 + t**2 / nu) ** (-(nu - 1) / 2) / mp.sqrt(2 * mp.pi)
+
+
+def test_t_gmfs_match_50_digit_mpmath_at_large_degrees_of_freedom():
+    # lgamma's rounding and (1 + t^2/nu)'s lost digits used to reach 9.4e-12 of the
+    # order-2 peak at nu = 10^4 (3e-15 at nu = 12); the Gamma ratio from Stirling's
+    # series, shifted down in exact integers, and log1p keep every order within a
+    # few roundings of its peak.
+    mpmath = pytest.importorskip("mpmath")
+    levels = np.linspace(-6.0, 6.0, 49)
+    with mpmath.workdps(50):
+        for nu in (4, 12, 20, 2000, 10**4):
+            got = geometry_mod._t_gmfs(levels, nu, 3)
+            for j in (1, 2, 3):
+                want = np.array([float(_mp_t_gmf(t, nu, j, mpmath)) for t in levels])
+                err = np.max(np.abs(got[j] - want)) / np.max(np.abs(want))
+                assert err < 1e-15, (nu, j, err)
+
+
 # ---------------------------------------------------------------------------
 # numerical density-derivative route
 # ---------------------------------------------------------------------------
