@@ -123,11 +123,18 @@ def _field_domain(field: LatticeField) -> Rectangle:
 
 
 def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", None)
-    if jobs is None:
-        jobs = int(os.environ.get("XKIT_JOBS", "1"))
+    """The worker count: ``--jobs``, else ``XKIT_JOBS``, else 1; an error names its source."""
+    if args.jobs is not None:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+        return args.jobs
+    text = os.environ.get("XKIT_JOBS", "1")
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
     if jobs < 1:
-        raise ValueError(f"--jobs must be >= 1, got {jobs}")
+        raise ValueError(f"XKIT_JOBS must be an integer >= 1, got {text!r}")
     return jobs
 
 

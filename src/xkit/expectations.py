@@ -42,6 +42,7 @@ from .fields import (
     GaussianModel,
     GaussianisedModel,
     _check_spectral_matrix,
+    _whole,
     component_seed,
     simulate_model,
 )
@@ -371,6 +372,9 @@ def expected_ec_curve(
         )
     if sim_reps < 1:
         raise ValueError(f"sim_reps must be >= 1, got {sim_reps}")
+    jobs = _whole(jobs, "jobs")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
     meta["sim_reps"] = str(sim_reps)
     average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)

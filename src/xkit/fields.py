@@ -23,9 +23,11 @@ ending with ``irfft`` on the last axis; the arithmetic is that of one
 
 Gaussian-derived fields (chi-square, Student-T, F, and
 probability-integral "gaussianised" transforms) are built pointwise from
-independent Gaussian components, one draw each: component ``i`` is the draw
-seeded ``component_seed(seed, i)``, so ``k`` components cost ``k`` draws.
-Every simulation is bit-reproducible from ``(model, shape, spacing, seed)``.
+independent Gaussian components, one ``simulate_gaussian`` draw each:
+component ``i`` is the draw seeded ``component_seed(seed, i)``, so ``k``
+components cost ``k`` draws.  Each component is squared and added as soon as
+it is drawn, so memory does not grow with the component count.  Every
+simulation is bit-reproducible from ``(model, shape, spacing, seed)``.
 """
 
 from __future__ import annotations
@@ -211,7 +213,7 @@ class ChiSquaredModel:
         return _chi2_gmfs(raw, self.k, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        values = _sum_of_squares(_component_fields(self.cov, self.k, shape, spacing, seed))
+        values = _sum_of_squares(self.cov, range(self.k), shape, spacing, seed)
         if self.standardized:
             values = (values - self.k) / math.sqrt(2.0 * self.k)
         return LatticeField(values=values, spacing=spacing)
@@ -242,11 +244,11 @@ class TFieldModel:
         return _t_gmfs(levels, self.k - 1, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        comps = _component_fields(self.cov, self.k, shape, spacing, seed)
-        denom = _sum_of_squares(comps[1:])
+        first = simulate_gaussian(self.cov, shape, spacing, component_seed(seed, 0)).values
+        denom = _sum_of_squares(self.cov, range(1, self.k), shape, spacing, seed)
         if np.any(denom == 0.0):
             raise SimulationError("T-field denominator vanished at a grid site")
-        values = comps[0] * math.sqrt(self.k - 1.0) / np.sqrt(denom)
+        values = first * math.sqrt(self.k - 1.0) / np.sqrt(denom)
         return LatticeField(values=values, spacing=spacing)
 
 
@@ -280,9 +282,8 @@ class FFieldModel:
         return _f_gmfs(levels, self.n, self.m, max_order)
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        comps = _component_fields(self.cov, self.n + self.m, shape, spacing, seed)
-        num = _sum_of_squares(comps[: self.n])
-        den = _sum_of_squares(comps[self.n :])
+        num = _sum_of_squares(self.cov, range(self.n), shape, spacing, seed)
+        den = _sum_of_squares(self.cov, range(self.n, self.n + self.m), shape, spacing, seed)
         if np.any(den == 0.0):
             raise SimulationError("F-field denominator vanished at a grid site")
         values = (self.m * num) / (self.n * den)
@@ -434,13 +435,23 @@ def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
     return sizes, np.sqrt(lam / float(np.prod(sizes)))
 
 
-def _circulant_draw(
+def simulate_gaussian(
     cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int
-) -> np.ndarray:
-    """One exact real sample on the grid, from the draw seeded ``seed``.
+) -> LatticeField:
+    """Draw one exact sample of a stationary Gaussian field on a grid.
 
-    Each leading axis is cropped to the grid right after its own ``ifft``,
-    so later axes transform only surviving lines.
+    The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
+    produce a bit-identical field: ``irfftn(z * amplitude, norm="forward")``
+    on the torus, cropped to the grid, where ``z`` is complex noise on the
+    half spectrum whose real and imaginary parts alternate in one
+    ``default_rng(seed).standard_normal`` draw, and the amplitude is
+    ``sqrt(lam / 2N)`` (``sqrt(lam / N)`` on last-axis planes ``0`` and
+    ``m / 2``) for torus eigenvalues ``lam`` and torus size ``N``.
+
+    The grid must resolve the correlation length (``spacing *
+    sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
+    much shorter than six correlation lengths per axis triggers a warning
+    because empirical statistics then mix poorly.
     """
     shape = tuple(int(n) for n in shape)
     if len(shape) == 0 or any(n < 1 for n in shape):
@@ -463,7 +474,7 @@ def _circulant_draw(
                 f"grid extent {(n - 1) * spacing:.4g} on axis {axis} is below six "
                 f"correlation lengths ({6.0 / scale:.4g}); spatial averages will "
                 "be noisy",
-                stacklevel=3,
+                stacklevel=2,
             )
     sizes, amplitude = _amplitude(cov, shape, spacing)
     normals = np.random.default_rng(seed).standard_normal(amplitude.shape + (2,))
@@ -473,28 +484,8 @@ def _circulant_draw(
     for axis, n in enumerate(shape[:-1]):
         sample = sp_fft.ifft(sample, axis=axis, norm="forward", overwrite_x=True)
         sample = sample[(slice(None),) * axis + (slice(0, n),)]
-    return sp_fft.irfft(sample, n=sizes[-1], norm="forward")[..., : shape[-1]]
-
-
-def simulate_gaussian(
-    cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int
-) -> LatticeField:
-    """Draw one exact sample of a stationary Gaussian field on a grid.
-
-    The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
-    produce a bit-identical field: ``irfftn(z * amplitude, norm="forward")``
-    on the torus, cropped to the grid, where ``z`` is complex noise on the
-    half spectrum whose real and imaginary parts alternate in one
-    ``default_rng(seed).standard_normal`` draw, and the amplitude is
-    ``sqrt(lam / 2N)`` (``sqrt(lam / N)`` on last-axis planes ``0`` and
-    ``m / 2``) for torus eigenvalues ``lam`` and torus size ``N``.
-
-    The grid must resolve the correlation length (``spacing *
-    sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
-    much shorter than six correlation lengths per axis triggers a warning
-    because empirical statistics then mix poorly.
-    """
-    return LatticeField(values=_circulant_draw(cov, shape, spacing, seed), spacing=spacing)
+    values = sp_fft.irfft(sample, n=sizes[-1], norm="forward")[..., : shape[-1]]
+    return LatticeField(values=values, spacing=spacing)
 
 
 def component_seed(seed: int, index: int) -> int:
@@ -509,16 +500,15 @@ def component_seed(seed: int, index: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _component_fields(
-    cov: CovarianceModel, count: int, shape, spacing: float, seed: int
-) -> list[np.ndarray]:
-    return [_circulant_draw(cov, shape, spacing, component_seed(seed, i)) for i in range(count)]
+def _sum_of_squares(cov: CovarianceModel, indices, shape, spacing: float, seed: int) -> np.ndarray:
+    """Sum of squares of components ``indices``, each added as soon as it is drawn."""
 
+    def square(i):  # returns only the square, so each component is freed at once
+        return np.square(simulate_gaussian(cov, shape, spacing, component_seed(seed, i)).values)
 
-def _sum_of_squares(comps: list[np.ndarray]) -> np.ndarray:
-    total = np.zeros(comps[0].shape)
-    for c in comps:
-        total += c * c
+    total = square(indices[0])
+    for i in indices[1:]:
+        total += square(i)
     return total
 
 

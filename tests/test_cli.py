@@ -639,6 +639,20 @@ def test_jobs_env_default(monkeypatch, capsys):
     assert run_cli(argv, capsys)[0] == 2
 
 
+def test_jobs_errors_name_their_source(monkeypatch, capsys):
+    argv = ["eec", "--model", "gaussian", "--lambda2", "20", "--cube", "1", "--dim", "2",
+            "--levels", "0:1:0.5"]
+    for value in ("abc", "0", "1.5"):
+        monkeypatch.setenv("XKIT_JOBS", value)
+        code, stdout, err = run_cli(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert f"XKIT_JOBS must be an integer >= 1, got {value!r}" in err
+    code, _, err = run_cli(argv + ["--jobs", "0"], capsys)  # the flag outranks the variable
+    assert code == 2
+    assert "--jobs must be >= 1, got 0" in err
+    assert "XKIT_JOBS" not in err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     capsys.readouterr()

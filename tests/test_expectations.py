@@ -611,6 +611,20 @@ def test_gaussianised_curve_needs_a_realisation():
         identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=-1)
 
 
+def test_gaussianised_curve_refuses_a_bad_worker_count():
+    # a count below 1 or not an integer is refused by name, before any draw
+    model, rect = _tiny_gaussianised()
+    levels = np.array([-1.0, 0.0, 1.0])
+    misses = expectations_mod._simulation_average.cache_info().misses
+    for jobs in (0, -2, 1.5):
+        with pytest.raises(ValueError, match="jobs must be"):
+            expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1, jobs=jobs)
+    curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical")
+    with pytest.raises(ValueError, match="jobs must be"):
+        identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=1, jobs=0)
+    assert expectations_mod._simulation_average.cache_info().misses == misses
+
+
 def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
     model, rect = _tiny_gaussianised()
     levels = np.array([-1.5, -0.5, 0.5, 1.5])

@@ -7,6 +7,7 @@ moments, marginal laws) come straight from the covariance model.
 
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -224,8 +225,6 @@ def test_sampler_matches_plain_circulant_formula_bit_for_bit():
             assert sizes == torus
             for seed in (0, 7, 12345, 2**63):
                 expected = _plain_circulant_draw(cov, shape, spacing, seed)
-                draw = fields_mod._circulant_draw(cov, shape, spacing, seed)
-                assert np.array_equal(draw, expected), (shape, spacing, seed)
                 got = simulate_gaussian(cov, shape, spacing, seed).values
                 assert np.array_equal(got, expected), (shape, spacing, seed)
 
@@ -276,7 +275,7 @@ def _draw_map(cov, shape, spacing, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(np.random, "default_rng", UnitNormals)
-        columns = [fields_mod._circulant_draw(cov, shape, spacing, i) for i in range(count)]
+        columns = [simulate_gaussian(cov, shape, spacing, i).values for i in range(count)]
     return np.stack([c.ravel() for c in columns], axis=1)
 
 
@@ -398,8 +397,9 @@ def test_resolution_guard_and_shape_validation():
 def test_short_extent_warns():
     # corr length 1/sqrt(4) = 0.5; extent 15*0.1 = 1.5 < 6*0.5 = 3
     smooth = CovarianceModel(variance=1.0, lambda2=4.0)
-    with pytest.warns(UserWarning, match="correlation lengths"):
+    with pytest.warns(UserWarning, match="correlation lengths") as record:
         simulate_gaussian(smooth, (16, 16), 0.1, seed=2)
+    assert record[0].filename == __file__  # the warning names the caller
 
 
 def test_embedding_failure_raises_with_diagnostic():
@@ -452,6 +452,51 @@ def test_chi_square_is_exact_sum_of_component_squares():
     assert np.array_equal(f.values, (4 * squares(comps[:3])) / (3 * squares(comps[3:7])))
 
 
+def test_every_component_is_one_simulate_gaussian_draw(monkeypatch):
+    # Component i is a simulate_gaussian call seeded component_seed(seed, i),
+    # in index order; a Gaussian model is the draw seeded seed itself.
+    seeds = []
+    draw = fields_mod.simulate_gaussian
+
+    def counting(cov, shape, spacing, seed):
+        seeds.append(seed)
+        return draw(cov, shape, spacing, seed)
+
+    monkeypatch.setattr(fields_mod, "simulate_gaussian", counting)
+    cases = [
+        (ChiSquaredModel(k=5, cov=COV20), 5),
+        (ChiSquaredModel(k=5, cov=COV20, standardized=True), 5),
+        (TFieldModel(k=4, cov=COV20), 4),
+        (FFieldModel(n=2, m=3, cov=COV20), 5),
+        (GaussianisedModel(ChiSquaredModel(k=3, cov=COV20)), 3),
+    ]
+    for model, count in cases:
+        seeds.clear()
+        simulate_model(model, (32, 32), 0.05, seed=8)
+        assert seeds == [component_seed(8, i) for i in range(count)], model
+    seeds.clear()
+    simulate_model(GaussianModel(COV20), (32, 32), 0.05, seed=8)
+    assert seeds == [8]
+
+
+def test_chi_square_memory_does_not_grow_with_k():
+    # Squares are added as their components are drawn, so a draw holds the
+    # running total and one component however many there are.
+    shape, spacing = (64, 64), 1 / 64
+    grid = 8 * math.prod(shape)
+
+    def peak(k):
+        tracemalloc.start()
+        try:
+            simulate_model(ChiSquaredModel(k=k, cov=COV200), shape, spacing, seed=3)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    simulate_model(ChiSquaredModel(k=1, cov=COV200), shape, spacing, seed=3)  # warms the cache
+    assert peak(40) - peak(2) < 2 * grid
+
+
 def test_chi_square_nonnegative_with_correct_mean():
     model = ChiSquaredModel(k=5, cov=COV20)
     f = simulate_model(model, (128, 128), 0.05, seed=21)
@@ -497,8 +542,11 @@ def test_f_field_median_and_marginals():
 
 def test_ratio_denominator_guard(monkeypatch):
     shape = (4, 4)
-    zeros = [np.zeros(shape) for _ in range(3)]
-    monkeypatch.setattr(fields_mod, "_component_fields", lambda *a, **k: zeros)
+
+    def zeros(cov, shape, spacing, seed):
+        return LatticeField(values=np.zeros(shape), spacing=spacing)
+
+    monkeypatch.setattr(fields_mod, "simulate_gaussian", zeros)
     with pytest.raises(SimulationError):
         simulate_model(TFieldModel(k=3, cov=COV20), shape, 0.05, seed=1)
     with pytest.raises(SimulationError):
