@@ -207,6 +207,8 @@ def top_lkc_quadrature(rect: Rectangle, metric, rel_tol: float = 1e-8) -> float:
     cap = {1: 1024, 2: 256, 3: 64}.get(dim)
     if cap is None:
         raise ValueError(f"quadrature supports 1..3 dimensions, got {dim}")
+    if not (math.isfinite(rel_tol) and rel_tol > 0):
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     previous = None
     nodes = 8
     while nodes <= cap:
@@ -332,6 +334,7 @@ def expected_ec_curve(
     """
     levels = _check_levels(levels)
     dim = domain.dim
+    order = _whole(order, "order")
     if not 0 <= order <= dim:
         raise ValueError(f"order must lie in 0..{dim}, got {order}")
     meta = {
@@ -361,7 +364,7 @@ def expected_ec_curve(
             "a gaussianised expected curve needs sim_shape (its curve is a "
             "lattice simulation average)"
         )
-    sim_shape = tuple(int(n) for n in sim_shape)
+    sim_shape = tuple(_whole(n, "each sim_shape entry") for n in sim_shape)
     if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
         raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
     spacings = [domain.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
@@ -370,6 +373,7 @@ def expected_ec_curve(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
             f"rectangle {domain.sides}; lattice fields use one spacing"
         )
+    sim_reps = _whole(sim_reps, "sim_reps")
     if sim_reps < 1:
         raise ValueError(f"sim_reps must be >= 1, got {sim_reps}")
     jobs = _whole(jobs, "jobs")

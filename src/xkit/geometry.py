@@ -12,8 +12,7 @@ quantities that every expected-topology formula is built from:
   sets of the Gaussian, chi-square, Student-t and F marginals (the Taylor
   coefficients of the Gaussian measure of their tubes) over arrays of
   levels; the public series of the Gaussian half line and the chi-square
-  ball complement are these lists at one level, and a numerical half-line
-  route sits beside them.
+  ball complement are these lists at one level.
 
 Everything here is deterministic, cheap, and heavily cross-checked by
 the test suite; the Monte-Carlo and lattice machinery lives elsewhere.
@@ -40,7 +39,6 @@ __all__ = [
     "tube_volume_rectangle",
     "gaussian_gmf",
     "chi2_gmf",
-    "density_derivative_gmf",
 ]
 
 
@@ -146,8 +144,8 @@ class Rectangle:
 class LKCVector:
     """Lipschitz-Killing curvatures ``(L_0, ..., L_N)`` of an N-dimensional set.
 
-    Entries may be NaN when a particular order is not measurable by the
-    producing routine (lattice estimators only reach the top two orders).
+    An entry may be NaN, the marker of an order the caller does not know;
+    the sums that need such an order refuse it.  Infinite entries are refused.
     """
 
     values: np.ndarray = field(repr=False)
@@ -156,6 +154,8 @@ class LKCVector:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("LKC vector must be a non-empty 1-d sequence")
+        if np.any(np.isinf(values)):
+            raise ValueError(f"LKCs must be finite or NaN (unknown), got {values}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -189,6 +189,8 @@ class GMFSeries:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("GMF series must be a non-empty 1-d sequence")
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"GMF series must be finite, got {values}")
         if not 0.0 <= values[0] <= 1.0 + 1e-12:
             raise ValueError(f"M_0 is a probability, got {values[0]}")
         object.__setattr__(self, "values", values)
@@ -401,65 +403,3 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
         scale = np.exp(log_peak + (a - j / 2.0) * log_t + (b - 1.0 + j / 2.0) * log_1mt)
         gmfs.append(scale * inside * np.polynomial.polynomial.polyval(x, q[j - 1]))
     return gmfs
-
-
-def _central_difference_weights(order: int, half_width: int) -> np.ndarray:
-    """Weights of a central finite-difference stencil on integer offsets.
-
-    Solves the Vandermonde moment conditions
-    ``sum_i w_i * o_i^m / m! = delta(m, order)`` on offsets
-    ``-half_width..half_width``; the resulting stencil has accuracy order
-    ``2 * half_width + 1 - order`` rounded down to an even number.
-    """
-    offsets = np.arange(-half_width, half_width + 1, dtype=float)
-    n = offsets.size
-    a = np.vstack([offsets ** m / math.factorial(m) for m in range(n)])
-    b = np.zeros(n)
-    b[order] = 1.0
-    return np.linalg.solve(a, b)
-
-
-def density_derivative_gmf(density, u: float, max_order: int, k: int = 1) -> GMFSeries:
-    """Level-derivative series of a bare marginal density, numerically.
-
-    ``M_0`` is obtained by adaptive quadrature of ``density`` over
-    ``[u, inf)`` and
-
-        ``M_j = (-1)^(j-1) * d^(j-1)/du^(j-1) density(u)``   for ``j >= 1``
-
-    by high-order central finite differences (stencil accuracy >= 4).  The
-    step for the ``d``-th derivative is ``eps^(1/(d+4)) * max(1, |u|)``,
-    which balances truncation against the ``1/h^d`` roundoff amplification;
-    a fixed tiny step would lose all significant digits by ``d = 3``.
-
-    These are the Gaussian Minkowski functionals only of the half line
-    ``[u, inf)`` under the standard normal density, where they reproduce
-    :func:`gaussian_gmf`.  The hitting set of a chi-square, t or F field lives
-    in a Gaussian space of several dimensions, and its functionals are not
-    level derivatives of its marginal density (see :func:`chi2_gmf`); no
-    expected-curve route uses this function.
-
-    ``density`` must be vectorised over numpy arrays (the scipy.stats pdf
-    methods qualify).
-    """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    from scipy import integrate  # imported on first use: it also loads scipy.optimize
-
-    u = float(u)
-    values = np.empty(max_order + 1)
-    tail, _ = integrate.quad(density, u, np.inf, limit=200)
-    values[0] = min(max(tail, 0.0), 1.0)
-    if max_order >= 1:
-        values[1] = (-1.0) ** 0 * float(density(u))
-    eps = np.finfo(float).eps
-    for j in range(2, max_order + 1):
-        d = j - 1
-        half_width = max(2, (d + 1) // 2 + 1)
-        h = eps ** (1.0 / (d + 4)) * max(1.0, abs(u))
-        w = _central_difference_weights(d, half_width)
-        offsets = np.arange(-half_width, half_width + 1, dtype=float)
-        samples = np.asarray(density(u + offsets * h), dtype=float)
-        deriv = float(np.dot(w, samples)) / h ** d
-        values[j] = (-1.0) ** (j - 1) * deriv
-    return GMFSeries(k=k, values=values)

@@ -350,6 +350,20 @@ def test_quadrature_bad_metric_and_dim():
         top_lkc_quadrature(Rectangle((1.0,) * 4), lambda x: np.eye(4))
 
 
+def test_quadrature_refuses_a_bad_tolerance_before_any_metric_call():
+    # a NaN or negative tolerance can never be met: it ran to the node cap
+    calls = []
+
+    def metric(x):
+        calls.append(x)
+        return np.eye(2)
+
+    for rel_tol in (math.nan, -1e-8, 0.0, math.inf):
+        with pytest.raises(ValueError, match="rel_tol"):
+            top_lkc_quadrature(SQUARE, metric, rel_tol=rel_tol)
+    assert calls == []
+
+
 def test_high_level_ratio_approaches_one():
     # full closed form over leading term; independent reference ratios were
     # evaluated from the two hand formulas before the module existed
@@ -622,6 +636,20 @@ def test_gaussianised_curve_refuses_a_bad_worker_count():
     curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical")
     with pytest.raises(ValueError, match="jobs must be"):
         identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=1, jobs=0)
+    assert expectations_mod._simulation_average.cache_info().misses == misses
+
+
+def test_expected_curve_refuses_non_integer_arguments_by_name():
+    # a float order, repetition count or lattice size is refused, not truncated
+    model, rect = _tiny_gaussianised()
+    levels = np.array([-1.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="order must be an integer"):
+        expected_ec_curve(GaussianModel(cov=COV200), rect, levels, order=1.5)
+    misses = expectations_mod._simulation_average.cache_info().misses
+    with pytest.raises(ValueError, match="sim_reps must be an integer"):
+        expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1.5)
+    with pytest.raises(ValueError, match="sim_shape entry must be an integer"):
+        expected_ec_curve(model, rect, levels, sim_shape=(17.7, 17), sim_reps=1)
     assert expectations_mod._simulation_average.cache_info().misses == misses
 
 

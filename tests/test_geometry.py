@@ -27,7 +27,6 @@ from xkit.geometry import (
     ball_volume,
     chi2_gmf,
     chi2_tail,
-    density_derivative_gmf,
     flag_coefficient,
     gaussian_gmf,
     gaussian_tail,
@@ -399,38 +398,6 @@ def test_t_gmfs_match_50_digit_mpmath_at_large_degrees_of_freedom():
 
 
 # ---------------------------------------------------------------------------
-# numerical density-derivative route
-# ---------------------------------------------------------------------------
-
-def test_density_derivative_matches_chi2_closed_form():
-    # The level-derivative route gives the functionals of the half line
-    # [r, inf) under N(0, 1).  For k = 1 the chi-square hitting set {z^2 >= u}
-    # is the two half lines |z| >= r = sqrt(u), whose tubes are the half lines'
-    # own tubes, so its series is twice the half line's.
-    for u in np.arange(0.5, 10.5, 0.5):
-        a = chi2_gmf(float(u), 1, 4).values
-        b = 2.0 * density_derivative_gmf(
-            lambda y: np.exp(-0.5 * np.asarray(y) ** 2) / SQRT_2PI, math.sqrt(u), 4
-        ).values
-        np.testing.assert_allclose(b, a, atol=1e-6)
-
-
-def test_density_derivative_on_gaussian_density():
-    for u in (-1.0, 0.5, 2.5):
-        a = gaussian_gmf(u, 4).values
-        b = density_derivative_gmf(
-            lambda y: np.exp(-0.5 * np.asarray(y) ** 2) / SQRT_2PI, u, 4
-        ).values
-        np.testing.assert_allclose(b, a, atol=1e-8)
-
-
-def test_density_derivative_tail_via_quadrature():
-    s = density_derivative_gmf(stats.t(df=4).pdf, 2.0, 1, k=5)
-    assert s[0] == pytest.approx(stats.t(df=4).sf(2.0), rel=1e-9)
-    assert s[1] == pytest.approx(stats.t(df=4).pdf(2.0), rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # container validation
 # ---------------------------------------------------------------------------
 
@@ -441,6 +408,20 @@ def test_gmf_series_validates_mass():
         GMFSeries(k=0, values=np.array([0.5]))
 
 
+def test_gmf_series_refuses_non_finite_entries():
+    # a NaN or infinite M_j would turn every kinematic sum over it into NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GMFSeries(k=1, values=np.array([0.5, bad, 0.1]))
+
+
 def test_lkc_vector_validates_shape():
     with pytest.raises(ValueError):
         LKCVector(np.zeros((2, 2)))
+
+
+def test_lkc_vector_refuses_infinite_entries_and_keeps_nan_as_unknown():
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LKCVector([1.0, bad])
+    assert math.isnan(LKCVector([1.0, np.nan, 4.0])[1])

@@ -11,8 +11,8 @@ MODULES = (geometry, fields, topology, expectations)
 PUBLIC = {
     # geometry
     "GMFSeries", "LKCVector", "Rectangle", "ball_volume", "chi2_gmf",
-    "density_derivative_gmf", "flag_coefficient", "gaussian_gmf", "gaussian_tail",
-    "hermite", "rectangle_lkcs", "tube_volume_rectangle",
+    "flag_coefficient", "gaussian_gmf", "gaussian_tail", "hermite", "rectangle_lkcs",
+    "tube_volume_rectangle",
     # fields
     "ChiSquaredModel", "CovarianceModel", "FFieldModel", "FieldFormatError",
     "GaussianModel", "GaussianisedModel", "LatticeField", "SimulationError",

@@ -14,6 +14,7 @@ import pytest
 from scipy import ndimage
 
 from xkit.fields import LatticeField
+from xkit.geometry import Rectangle, rectangle_lkcs
 from xkit.topology import (
     CurveFormatError,
     ECCurve,
@@ -286,7 +287,7 @@ def test_geometric_measures_of_a_sub_rectangle():
     lkcs = geometric_measures(mask, spacing)
     assert lkcs[2] == pytest.approx(0.30 * 0.50, rel=1e-12)
     assert lkcs[1] == pytest.approx(0.30 + 0.50, rel=1e-12)
-    assert math.isnan(lkcs[0])
+    assert lkcs[0] == 1
 
 
 def test_geometric_measures_full_grid_and_empty():
@@ -294,9 +295,11 @@ def test_geometric_measures_full_grid_and_empty():
     full = geometric_measures(np.ones((101, 101), dtype=bool), spacing)
     assert full[2] == pytest.approx(1.0, rel=1e-12)
     assert full[1] == pytest.approx(2.0, rel=1e-12)
+    assert full[0] == 1
     empty = geometric_measures(np.zeros((9, 9), dtype=bool), spacing)
     assert empty[2] == 0.0
     assert empty[1] == 0.0
+    assert empty[0] == 0.0
 
 
 def test_geometric_measures_box_in_three_dimensions():
@@ -307,7 +310,8 @@ def test_geometric_measures_box_in_three_dimensions():
     assert lkcs[3] == pytest.approx(0.50 * 0.60 * 0.20, rel=1e-12)
     half_area = 0.50 * 0.60 + 0.60 * 0.20 + 0.50 * 0.20
     assert lkcs[2] == pytest.approx(half_area, rel=1e-12)
-    assert math.isnan(lkcs[1]) and math.isnan(lkcs[0])
+    assert lkcs[1] == pytest.approx(0.50 + 0.60 + 0.20, rel=1e-12)
+    assert lkcs[0] == 1
 
 
 def test_geometric_measures_of_irregular_masks_against_brute_force():
@@ -334,10 +338,58 @@ def test_geometric_measures_of_irregular_masks_against_brute_force():
                         neighbour = list(site)
                         neighbour[axis] += step
                         boundary += tuple(neighbour) not in cells
+            # a stray facet has all its corners set but lies in no occupied cell
+            stray = 0
+            for axis in range(dim):
+                for site in np.ndindex(*(n - (a != axis) for a, n in enumerate(shape))):
+                    corners = [
+                        tuple(s + o for s, o in zip(site, offset))
+                        for offset in np.ndindex(*(1 if a == axis else 2 for a in range(dim)))
+                    ]
+                    cells_here = []
+                    for step in (-1, 0):
+                        cell = list(site)
+                        cell[axis] += step
+                        cells_here.append(tuple(cell))
+                    stray += all(mask[c] for c in corners) and not any(
+                        c in cells for c in cells_here
+                    )
             lkcs = geometric_measures(mask, spacing)
             assert lkcs[dim] == spacing ** dim * len(cells), (shape, p)
-            assert lkcs[dim - 1] == 0.5 * spacing ** (dim - 1) * boundary, (shape, p)
-            assert all(math.isnan(lkcs[j]) for j in range(dim - 1))
+            assert lkcs[dim - 1] == (
+                0.5 * spacing ** (dim - 1) * boundary + spacing ** (dim - 1) * stray
+            ), (shape, p)
+            assert lkcs[0] == euler_characteristic(mask), (shape, p)
+            assert np.all(np.isfinite(lkcs.values)), (shape, p)
+
+
+def test_geometric_measures_count_lower_dimensional_pieces():
+    # a lone edge: one component, half its length, no area
+    edge = np.zeros((3, 3), dtype=bool)
+    edge[1, 0:2] = True
+    np.testing.assert_array_equal(geometric_measures(edge, 0.5).values, [1.0, 0.5, 0.0])
+    # a ring of 12 sites around an empty 2x2 middle: one loop, no area
+    ring = np.ones((4, 4), dtype=bool)
+    ring[1:3, 1:3] = False
+    np.testing.assert_array_equal(geometric_measures(ring, 1.0).values, [0.0, 12.0, 0.0])
+    # an L of three unit cells
+    ell = np.ones((3, 3), dtype=bool)
+    ell[2, 2] = False
+    np.testing.assert_array_equal(geometric_measures(ell, 1.0).values, [1.0, 4.0, 3.0])
+
+
+@pytest.mark.parametrize("sites", [(7,), (1,), (6, 9), (1, 7), (5, 4, 3), (1, 1, 9), (2, 1, 4)])
+def test_geometric_measures_of_full_boxes_match_rectangle_lkcs(sites):
+    spacing = 0.3
+    mask = np.zeros(tuple(n + 2 for n in sites), dtype=bool)
+    mask[tuple(slice(1, n + 1) for n in sites)] = True
+    positive = [spacing * (n - 1) for n in sites if n > 1]
+    want = np.zeros(len(sites) + 1)
+    if positive:
+        want[: len(positive) + 1] = rectangle_lkcs(Rectangle(tuple(positive))).values
+    else:
+        want[0] = 1.0
+    np.testing.assert_allclose(geometric_measures(mask, spacing).values, want, rtol=1e-12, atol=1e-12)
 
 
 def test_geometric_measures_guards():
