@@ -40,7 +40,7 @@ from .fields import (
     simulate_model,
     write_field,
 )
-from .geometry import Rectangle
+from .geometry import Rectangle, _whole
 from .topology import CurveFormatError, ECCurve, ec_csv_text, ec_curve, write_ec_csv
 
 MODEL_HELP = "gaussian | chisq:k | t:k | f:n:m | gchisq:k"
@@ -125,9 +125,7 @@ def _field_domain(field: LatticeField) -> Rectangle:
 def _resolve_jobs(args) -> int:
     """The worker count: ``--jobs``, else ``XKIT_JOBS``, else 1; an error names its source."""
     if args.jobs is not None:
-        if args.jobs < 1:
-            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-        return args.jobs
+        return _whole(args.jobs, "--jobs", least=1)
     text = os.environ.get("XKIT_JOBS", "1")
     try:
         jobs = int(text)

@@ -42,12 +42,12 @@ from .fields import (
     GaussianModel,
     GaussianisedModel,
     _check_spectral_matrix,
-    _whole,
     component_seed,
     simulate_model,
 )
-from .geometry import GMFSeries, LKCVector, Rectangle, _gaussian_gmfs, flag_coefficient
-from .topology import ECCurve, _check_levels, _finite_levels, ec_curve
+from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
+from .geometry import _check_levels, _finite_levels, _gaussian_gmfs, _positive, _whole
+from .topology import ECCurve, ec_curve
 
 __all__ = [
     "CapabilityError",
@@ -73,10 +73,6 @@ TWO_PI = 2.0 * math.pi
 # Realisation r uses component_seed(_CURVE_SEED_BASE, r), so these draws never
 # coincide with user data seeds passed directly to simulate_model.
 _CURVE_SEED_BASE = 202406
-
-
-class CapabilityError(RuntimeError):
-    """The requested quantity has no implemented evaluation path."""
 
 
 class NoSolutionError(RuntimeError):
@@ -109,6 +105,7 @@ def expected_lkc_general(lkcs_M: LKCVector, gmfs_D: GMFSeries, i: int) -> float:
     :func:`expected_lkc_isotropic`).
     """
     dim = lkcs_M.dim
+    i = _whole(i, "order i")
     if not 0 <= i <= dim:
         raise ValueError(f"order i must lie in 0..{dim}, got {i}")
     needed = dim - i
@@ -132,8 +129,7 @@ def expected_lkc_isotropic(
     j-th term carries ``lambda2^((i+j)/2) * L_(i+j)(M) * M_j(D)``; for i=0
     this reproduces the rectangle closed forms term by term.
     """
-    if not (math.isfinite(lambda2) and lambda2 > 0):
-        raise ValueError(f"lambda2 must be positive, got {lambda2}")
+    lambda2 = _positive(lambda2, "lambda2")
     scaled = [lambda2 ** (k / 2.0) * lkcs_M[k] for k in range(lkcs_M.dim + 1)]
     return expected_lkc_general(LKCVector(np.array(scaled)), gmfs_D, i)
 
@@ -178,10 +174,8 @@ def expected_ec_gaussian_rectangle(rect: Rectangle, sigma2: float, lambda2: floa
     or array levels; the values are those of :func:`expected_ec_curve` for
     the matching :class:`~xkit.fields.GaussianModel`, bit for bit.
     """
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
-    if not (math.isfinite(lambda2) and lambda2 > 0):
-        raise ValueError(f"lambda2 must be positive, got {lambda2}")
+    sigma2 = _positive(sigma2, "sigma2")
+    lambda2 = _positive(lambda2, "lambda2")
     model = GaussianModel(CovarianceModel(variance=sigma2, lambda2=lambda2 / sigma2))
     return _closed_form(model, _metric_lkcs(model, rect), _finite_levels(u))
 
@@ -207,8 +201,7 @@ def top_lkc_quadrature(rect: Rectangle, metric, rel_tol: float = 1e-8) -> float:
     cap = {1: 1024, 2: 256, 3: 64}.get(dim)
     if cap is None:
         raise ValueError(f"quadrature supports 1..3 dimensions, got {dim}")
-    if not (math.isfinite(rel_tol) and rel_tol > 0):
-        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    rel_tol = _positive(rel_tol, "rel_tol")
     previous = None
     nodes = 8
     while nodes <= cap:
@@ -259,6 +252,7 @@ def expected_lkc_high_level(
     integrated by quadrature.  The level must be finite.
     """
     u = _finite_levels(u)
+    i = _whole(i, "order i")
     if (lkcs is None) == (rect is None and metric is None):
         raise ValueError("supply either lkcs or (rect and metric)")
     if lkcs is not None:
@@ -373,12 +367,8 @@ def expected_ec_curve(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
             f"rectangle {domain.sides}; lattice fields use one spacing"
         )
-    sim_reps = _whole(sim_reps, "sim_reps")
-    if sim_reps < 1:
-        raise ValueError(f"sim_reps must be >= 1, got {sim_reps}")
-    jobs = _whole(jobs, "jobs")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    sim_reps = _whole(sim_reps, "sim_reps", least=1)
+    jobs = _whole(jobs, "jobs", least=1)
     meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
     meta["sim_reps"] = str(sim_reps)
     average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)

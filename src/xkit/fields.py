@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import struct
 import warnings
 from dataclasses import dataclass, field, replace
@@ -43,7 +42,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import special
 
-from .geometry import _chi2_gmfs, _f_gmfs, _gaussian_gmfs, _t_gmfs
+from .geometry import _chi2_gmfs, _f_gmfs, _gaussian_gmfs, _positive, _t_gmfs, _whole
 
 __all__ = [
     "CovarianceModel",
@@ -99,15 +98,11 @@ class CovarianceModel:
     _matrix_bytes: bytes | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "variance", float(self.variance))
-        if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        object.__setattr__(self, "variance", _positive(self.variance, "variance"))
         if (self.lambda2 is None) == (self.matrix is None):
             raise ValueError("specify exactly one of lambda2 or matrix")
         if self.lambda2 is not None:
-            object.__setattr__(self, "lambda2", float(self.lambda2))
-            if not (math.isfinite(self.lambda2) and self.lambda2 > 0):
-                raise ValueError(f"lambda2 must be positive, got {self.lambda2}")
+            object.__setattr__(self, "lambda2", _positive(self.lambda2, "lambda2"))
         if self.matrix is not None:
             object.__setattr__(self, "matrix", _check_spectral_matrix(self.matrix))
             object.__setattr__(self, "_matrix_bytes", self.matrix.tobytes())
@@ -145,14 +140,6 @@ def _check_spectral_matrix(matrix) -> np.ndarray:
 
 def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
     return cov if cov.variance == 1.0 else replace(cov, variance=1.0)
-
-
-def _whole(value, what: str) -> int:
-    """``value`` as an ``int``, refused unless it is an integer (numpy's included)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 # Each model class carries the facts that depend only on the model: how a field
@@ -194,9 +181,7 @@ class ChiSquaredModel:
     standardized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _whole(self.k, "degrees of freedom"))
-        if self.k < 1:
-            raise ValueError(f"degrees of freedom must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _whole(self.k, "degrees of freedom", least=1))
         object.__setattr__(self, "cov", _unit_variance(self.cov))
 
     @property
@@ -227,9 +212,7 @@ class TFieldModel:
     cov: CovarianceModel
 
     def __post_init__(self):
-        object.__setattr__(self, "k", _whole(self.k, "the component count k"))
-        if self.k < 2:
-            raise ValueError(f"a T field needs k >= 2 components, got {self.k}")
+        object.__setattr__(self, "k", _whole(self.k, "the component count k", least=2))
         object.__setattr__(self, "cov", _unit_variance(self.cov))
 
     @property
@@ -261,10 +244,8 @@ class FFieldModel:
     cov: CovarianceModel
 
     def __post_init__(self):
-        object.__setattr__(self, "n", _whole(self.n, "degrees of freedom n"))
-        object.__setattr__(self, "m", _whole(self.m, "degrees of freedom m"))
-        if self.n < 1 or self.m < 1:
-            raise ValueError(f"F field needs n, m >= 1, got n={self.n}, m={self.m}")
+        object.__setattr__(self, "n", _whole(self.n, "degrees of freedom n", least=1))
+        object.__setattr__(self, "m", _whole(self.m, "degrees of freedom m", least=1))
         object.__setattr__(self, "cov", _unit_variance(self.cov))
 
     @property
@@ -339,13 +320,11 @@ class LatticeField:
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=float)
-        object.__setattr__(self, "spacing", float(self.spacing))
         if values.size == 0:
             raise ValueError("field must contain at least one sample")
         if not np.all(np.isfinite(values)):
-            raise ValueError("field values must all be finite")
-        if not (math.isfinite(self.spacing) and self.spacing > 0):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+            raise ValueError("field contains non-finite values")
+        object.__setattr__(self, "spacing", _positive(self.spacing, "spacing"))
         object.__setattr__(self, "values", values)
 
     @property
@@ -453,11 +432,11 @@ def simulate_gaussian(
     much shorter than six correlation lengths per axis triggers a warning
     because empirical statistics then mix poorly.
     """
-    shape = tuple(int(n) for n in shape)
-    if len(shape) == 0 or any(n < 1 for n in shape):
-        raise ValueError(f"grid shape must have positive sizes, got {shape}")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    shape = tuple(_whole(n, "each grid size", least=1) for n in shape)
+    if not shape:
+        raise ValueError("grid shape must have at least one axis")
+    spacing = _positive(spacing, "spacing")
+    seed = _whole(seed, "seed", least=0)
     lam_mat = cov.spectral_matrix(len(shape))
     for axis, n in enumerate(shape):
         if n < 2:
@@ -496,7 +475,7 @@ def component_seed(seed: int, index: int) -> int:
     ``i`` of a multi-component model is the draw seeded ``component_seed(seed,
     i)``.  Kept public so that consumers can reproduce individual components.
     """
-    ss = np.random.SeedSequence([int(seed), int(index)])
+    ss = np.random.SeedSequence([_whole(seed, "seed", least=0), int(index)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
@@ -646,9 +625,7 @@ def read_field(path) -> LatticeField:
             f"grid {shape} ({8 * count} bytes expected)"
         )
     values = np.frombuffer(raw, dtype="<f8", count=count, offset=header)
-    values = values.reshape(shape).astype(float)
-    if not np.all(np.isfinite(values)):
-        raise FieldFormatError(f"{path}: field contains non-finite values")
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise FieldFormatError(f"{path}: invalid spacing {spacing}")
-    return LatticeField(values=values, spacing=spacing)
+    try:
+        return LatticeField(values=values.reshape(shape).astype(float), spacing=spacing)
+    except ValueError as exc:
+        raise FieldFormatError(f"{path}: {exc}") from exc

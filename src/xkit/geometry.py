@@ -16,11 +16,16 @@ quantities that every expected-topology formula is built from:
 
 Everything here is deterministic, cheap, and heavily cross-checked by
 the test suite; the Monte-Carlo and lattice machinery lives elsewhere.
+This module is the bottom of the package's imports, so it also holds the
+argument checks every module shares (``_whole``, ``_positive``,
+``_finite_levels``, ``_check_levels``) and :class:`CapabilityError`, raised
+where a closed form stops.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,55 @@ __all__ = [
     "gaussian_gmf",
     "chi2_gmf",
 ]
+
+
+class CapabilityError(NotImplementedError):
+    """The requested quantity has no implemented evaluation path."""
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by every module
+# ---------------------------------------------------------------------------
+
+def _whole(value, what: str, least: int | None = None) -> int:
+    """``value`` as an ``int``, refused unless it is an integer (numpy's included)
+    and, when ``least`` is given, at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a ``float``, refused unless finite and positive."""
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{what} must be positive, got {value}")
+    return value
+
+
+def _finite_levels(levels, what: str = "levels") -> np.ndarray:
+    """``levels`` as a float array of any shape, checked finite: the tails and
+    densities are NaN or warn at infinite and NaN levels."""
+    levels = np.asarray(levels, dtype=float)
+    finite = np.isfinite(levels)
+    if not np.all(finite):
+        raise ValueError(f"{what} must be finite, got {float(levels[~finite][0])}")
+    return levels
+
+
+def _check_levels(levels) -> np.ndarray:
+    """``levels`` as a float array, checked non-empty, 1-d, finite and strictly increasing."""
+    levels = np.asarray(levels, dtype=float)
+    if levels.ndim != 1 or levels.size == 0:
+        raise ValueError("levels must be a non-empty 1-d array")
+    _finite_levels(levels)
+    if np.any(np.diff(levels) <= 0):
+        raise ValueError("levels must be strictly increasing")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +116,7 @@ def flag_coefficient(n: int, j: int) -> float:
     These combinatorial factors weight the terms of kinematic-formula
     expansions; ``[n, 0] = [n, n] = 1`` for every ``n``.
     """
+    n, j = _whole(n, "n"), _whole(j, "j")
     if j < 0 or n < j:
         raise ValueError(f"flag coefficient needs 0 <= j <= n, got n={n}, j={j}")
     return math.comb(n, j) * ball_volume(n) / (ball_volume(n - j) * ball_volume(j))
@@ -85,8 +140,7 @@ def chi2_tail(x, k: int):
     ``gammaincc`` is a continued-fraction/series implementation accurate to
     better than 1e-13 relative across the range used here.
     """
-    if k < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
+    k = _whole(k, "degrees of freedom", least=1)
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0, special.gammaincc(k / 2.0, np.maximum(x, 0.0) / 2.0), 1.0)
     return out if out.ndim else float(out)
@@ -101,8 +155,7 @@ def hermite(n: int, x):
     which lets Gaussian Minkowski-functional formulas treat order zero on
     the same footing as the rest.
     """
-    if n < -1:
-        raise ValueError(f"Hermite index must be >= -1, got {n}")
+    n = _whole(n, "Hermite index", least=-1)
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
     if n == -1:
@@ -124,11 +177,9 @@ class Rectangle:
     sides: tuple[float, ...]
 
     def __post_init__(self):
-        sides = tuple(float(s) for s in self.sides)
+        sides = tuple(_positive(s, "each rectangle side") for s in self.sides)
         if not sides:
             raise ValueError("a rectangle needs at least one side")
-        if any(not math.isfinite(s) or s <= 0 for s in sides):
-            raise ValueError(f"rectangle sides must be positive and finite, got {sides}")
         object.__setattr__(self, "sides", sides)
 
     @property
@@ -137,7 +188,7 @@ class Rectangle:
 
     @classmethod
     def cube(cls, side: float, dim: int) -> "Rectangle":
-        return cls((side,) * dim)
+        return cls((side,) * _whole(dim, "dim"))
 
 
 @dataclass(frozen=True)
@@ -184,8 +235,7 @@ class GMFSeries:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"ambient Gaussian dimension must be >= 1, got {self.k}")
+        object.__setattr__(self, "k", _whole(self.k, "ambient Gaussian dimension", least=1))
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size < 1:
             raise ValueError("GMF series must be a non-empty 1-d sequence")
@@ -242,15 +292,6 @@ def tube_volume_rectangle(rect: Rectangle, rho: float) -> float:
 # Gaussian-measure Minkowski functionals
 # ---------------------------------------------------------------------------
 
-def _finite_level(u) -> float:
-    """``u`` as a float, refused unless finite: the tails and densities are NaN
-    or warn at infinite and NaN levels."""
-    u = float(u)
-    if not math.isfinite(u):
-        raise ValueError(f"level u must be finite, got {u}")
-    return u
-
-
 def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     """Minkowski functionals of the half line ``[u, inf)`` under N(0,1).
 
@@ -258,9 +299,8 @@ def gaussian_gmf(u: float, max_order: int) -> GMFSeries:
     ``j >= 1``; with the ``H_(-1)`` convention the second expression covers
     ``j = 0`` as well.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    return GMFSeries(k=1, values=_gaussian_gmfs(_finite_level(u), max_order))
+    max_order = _whole(max_order, "max_order", least=0)
+    return GMFSeries(k=1, values=_gaussian_gmfs(_finite_levels(u, "level u"), max_order))
 
 
 def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
@@ -278,11 +318,9 @@ def chi2_gmf(u: float, k: int, max_order: int) -> GMFSeries:
     For ``u <= 0`` the hitting set is all of ``R^k`` and the series is
     ``(1, 0, 0, ...)``.
     """
-    if max_order < 0:
-        raise ValueError(f"max_order must be >= 0, got {max_order}")
-    if k < 1:
-        raise ValueError(f"degrees of freedom must be >= 1, got {k}")
-    return GMFSeries(k=k, values=_chi2_gmfs(_finite_level(u), k, max_order))
+    max_order = _whole(max_order, "max_order", least=0)
+    k = _whole(k, "degrees of freedom", least=1)
+    return GMFSeries(k=k, values=_chi2_gmfs(_finite_levels(u, "level u"), k, max_order))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +380,7 @@ def _t_gmfs(t, nu: int, max_order: int):
     ``Gamma(z+1) = z Gamma(z)`` in exact integers: ``lgamma`` rounds too coarsely.
     """
     if max_order > 3:
-        raise NotImplementedError(f"Student-t EC densities stop at order 3, got {max_order}")
+        raise CapabilityError(f"Student-t EC densities stop at order 3, got {max_order}")
     t = np.asarray(t, dtype=float)
     density = np.exp(-(nu - 1.0) / 2.0 * np.log1p(t * t / nu)) / math.sqrt(2.0 * math.pi)
     top = max(nu, 30 + nu % 2)
@@ -374,7 +412,7 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
     Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
     """
     if max_order > min(3, n + m - 1):
-        raise NotImplementedError(
+        raise CapabilityError(
             f"F({n}, {m}) EC densities stop at order {min(3, n + m - 1)}, got {max_order}"
         )
     u = np.asarray(u, dtype=float)

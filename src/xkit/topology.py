@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from xkit.fields import LatticeField
-from xkit.geometry import LKCVector
+from xkit.geometry import LKCVector, _check_levels, _finite_levels, _positive
 
 __all__ = [
     "ECCurve",
@@ -58,9 +58,7 @@ class CurveFormatError(ValueError):
 
 def excursion_mask(field: LatticeField, u: float) -> np.ndarray:
     """Boolean mask of the excursion set ``{x : f(x) >= u}`` on the grid."""
-    if not math.isfinite(u):
-        raise ValueError(f"threshold must be finite, got {u}")
-    return field.values >= u
+    return field.values >= _finite_levels(u, "threshold")
 
 
 def _check_mask(mask: np.ndarray) -> np.ndarray:
@@ -73,26 +71,6 @@ def _check_mask(mask: np.ndarray) -> np.ndarray:
             f"implemented for 1 to {_MAX_DIM} dimensions"
         )
     return mask
-
-
-def _finite_levels(levels) -> np.ndarray:
-    """``levels`` as a float array of any shape, checked finite."""
-    levels = np.asarray(levels, dtype=float)
-    finite = np.isfinite(levels)
-    if not np.all(finite):
-        raise ValueError(f"levels must be finite, got {float(levels[~finite][0])}")
-    return levels
-
-
-def _check_levels(levels) -> np.ndarray:
-    """``levels`` as a float array, checked non-empty, 1-d, finite and strictly increasing."""
-    levels = np.asarray(levels, dtype=float)
-    if levels.ndim != 1 or levels.size == 0:
-        raise ValueError("levels must be a non-empty 1-d array")
-    _finite_levels(levels)
-    if np.any(np.diff(levels) <= 0):
-        raise ValueError("levels must be strictly increasing")
-    return levels
 
 
 def _reduce_along(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -231,8 +209,7 @@ def geometric_measures(mask: np.ndarray, spacing: float) -> LKCVector:
     :func:`xkit.geometry.rectangle_lkcs`.
     """
     counts = face_counts(mask).tolist()
-    if not (math.isfinite(spacing) and spacing > 0):
-        raise ValueError(f"spacing must be positive, got {spacing}")
+    spacing = _positive(spacing, "spacing")
     dim = len(counts) - 1
     return LKCVector([
         spacing ** j * sum((-1) ** (k - j) * math.comb(k, j) * counts[k] for k in range(j, dim + 1))

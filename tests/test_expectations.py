@@ -47,6 +47,7 @@ from xkit.geometry import (
     flag_coefficient,
     gaussian_gmf,
     gaussian_tail,
+    hermite,
     rectangle_lkcs,
     tube_volume_rectangle,
 )
@@ -586,10 +587,41 @@ def test_closed_forms_stop_where_their_orders_do():
         expected_ec_curve(TFieldModel(k=5, cov=cov), Rectangle((1.0,) * 4), [1.0])
     with pytest.raises(NotImplementedError, match="order 1"):
         expected_ec_curve(FFieldModel(n=1, m=1, cov=cov), SQUARE, [1.0])
+    # both are CapabilityErrors, the one type a caller catches for a missing closed form
+    assert issubclass(CapabilityError, NotImplementedError)
+    with pytest.raises(CapabilityError, match="order 3"):
+        expected_ec_curve(TFieldModel(k=5, cov=cov), Rectangle((1.0,) * 4), [1.0])
+    with pytest.raises(CapabilityError, match="order 1"):
+        threshold(FFieldModel(n=1, m=1, cov=cov), SQUARE, 0.05)
     levels = np.array([0.5, 2.0, 9.0])
     curve = expected_ec_curve(FFieldModel(n=1, m=1, cov=cov), Rectangle((1.0,)), levels)
     direct = stats.f(1, 1).sf(levels) + math.sqrt(20.0) * 2.0 / (2.0 * math.pi)
     np.testing.assert_allclose(curve.values, direct, rtol=1e-12)
+
+
+# (the argument's name in the refusal, a call with a fractional value for it)
+NON_INTEGER_ARGUMENTS = {
+    "expected_lkc_general": ("order i", lambda: expected_lkc_general(
+        rectangle_lkcs(SQUARE), gaussian_gmf(1.0, 2), 1.5)),
+    "expected_lkc_isotropic": ("order i", lambda: expected_lkc_isotropic(
+        rectangle_lkcs(SQUARE), gaussian_gmf(1.0, 2), 200.0, 1.5)),
+    "expected_lkc_high_level": ("order i", lambda: expected_lkc_high_level(
+        3.0, 1.5, lkcs=rectangle_lkcs(SQUARE))),
+    "gaussian_gmf": ("max_order", lambda: gaussian_gmf(1.0, 1.5)),
+    "chi2_gmf order": ("max_order", lambda: chi2_gmf(1.0, 3, 1.5)),
+    "chi2_gmf k": ("degrees of freedom", lambda: chi2_gmf(1.0, 2.5, 2)),
+    "flag_coefficient": ("n", lambda: flag_coefficient(2.5, 1)),
+    "hermite": ("Hermite index", lambda: hermite(1.5, 0.3)),
+    "Rectangle.cube": ("dim", lambda: Rectangle.cube(1.0, 1.5)),
+    "GMFSeries": ("ambient Gaussian dimension", lambda: GMFSeries(k=1.5, values=[0.5])),
+}
+
+
+@pytest.mark.parametrize("what, call", NON_INTEGER_ARGUMENTS.values(), ids=NON_INTEGER_ARGUMENTS)
+def test_non_integer_orders_and_counts_are_refused_by_name(what, call):
+    # a fraction is refused by name, not accepted or left to a bare TypeError
+    with pytest.raises(ValueError, match=rf"^{what} must be an integer, got \d\.5$"):
+        call()
 
 
 def _tiny_gaussianised():

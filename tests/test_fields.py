@@ -390,6 +390,8 @@ def test_resolution_guard_and_shape_validation():
         simulate_gaussian(COV20, (), 0.1, seed=1)
     with pytest.raises(ValueError):
         simulate_gaussian(COV20, (0, 4), 0.1, seed=1)
+    with pytest.raises(ValueError, match="each grid size must be an integer, got 17.7"):
+        simulate_gaussian(COV20, (17.7, 17), 0.1, seed=1)  # not truncated to 17
     with pytest.raises(ValueError):
         simulate_gaussian(COV20, (4, 4), -0.1, seed=1)
 
@@ -428,6 +430,23 @@ def test_component_seed_is_frozen():
     assert component_seed(0, 0) == 15793235383387715774
     assert component_seed(0, 1) == 5836529245451711556
     assert component_seed(123, 7) == 11002349382382457685
+    assert component_seed(2**63, 2) == component_seed(np.uint64(2**63), 2) == 1129379982339236933
+
+
+def test_float_seeds_are_refused_for_every_model():
+    # a fractional seed is refused, not truncated to the seed of another field
+    models = (
+        GaussianModel(cov=COV20),
+        ChiSquaredModel(k=3, cov=COV20),
+        TFieldModel(k=3, cov=COV20),
+        FFieldModel(n=1, m=2, cov=COV20),
+    )
+    for model in models:
+        for seed in (1.5, 1.0, -1):
+            with pytest.raises(ValueError, match="seed must be"):
+                simulate_model(model, (20, 20), 0.05, seed)
+    with pytest.raises(ValueError, match="seed must be an integer, got 1.5"):
+        component_seed(1.5, 0)
 
 
 def test_chi_square_is_exact_sum_of_component_squares():
