@@ -347,14 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--spacing", type=float, required=True, help="lattice spacing")
     sim.add_argument("--seed", type=int, required=True, help="reproducibility seed")
     sim.add_argument("--out", required=True, help="output field file")
-    sim.add_argument("--config", help="key=value defaults file (flags override)")
     sim.set_defaults(func=cmd_simulate)
 
     ecc = commands.add_parser("ec-curve", help="empirical EC curve of a stored field")
     ecc.add_argument("--field", required=True, help="input field file")
     ecc.add_argument("--levels", required=True, help="level grid lo:hi:step")
     ecc.add_argument("--out", help="output CSV (stdout when omitted)")
-    ecc.add_argument("--config", help="key=value defaults file (flags override)")
     ecc.set_defaults(func=cmd_ec_curve)
 
     eec = commands.add_parser("eec", help="expected EC (or L_i) curve of a model")
@@ -368,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     eec.add_argument("--sim-reps", type=int, default=40, help="realisations to average")
     eec.add_argument("--jobs", type=int, help="worker count (default: XKIT_JOBS or 1)")
     eec.add_argument("--out", help="output CSV (stdout when omitted)")
-    eec.add_argument("--config", help="key=value defaults file (flags override)")
     eec.set_defaults(func=cmd_eec)
 
     thr = commands.add_parser("threshold", help="level with expected EC equal to alpha")
@@ -376,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_domain_flags(thr)
     thr.add_argument("--alpha", type=float, required=True, help="target tail mass in (0, 0.5)")
     thr.add_argument("--json", help="also write the result as JSON to this path")
-    thr.add_argument("--config", help="key=value defaults file (flags override)")
     thr.set_defaults(func=cmd_threshold)
 
     ident = commands.add_parser("identify", help="rank candidate models against a field")
@@ -397,17 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--variance", type=float, default=1.0, help="field variance")
     ident.add_argument("--sim-reps", type=int, default=20, help="realisations to average")
     ident.add_argument("--jobs", type=int, help="worker count (default: XKIT_JOBS or 1)")
-    ident.add_argument("--config", help="key=value defaults file (flags override)")
     ident.set_defaults(func=cmd_identify)
 
+    for sub in commands.choices.values():
+        sub.add_argument("--config", help="key=value defaults file (flags override)")
     return parser
+
+
+_PARSER = build_parser()  # built once: it costs more than a parse, and main may run many times
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(_splice_config(list(argv)))
+        args = _PARSER.parse_args(_splice_config(list(argv)))
         if args.config is not None:
             raise ValueError("--config must be written out in full on the command line")
         return args.func(args)

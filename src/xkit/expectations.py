@@ -227,9 +227,9 @@ def _tensor_gauss_legendre(rect: Rectangle, metric, nodes: int) -> float:
         x = np.array(point)
         lam = np.asarray(metric(x), dtype=float)
         if lam.shape != (dim, dim):
-            raise ValueError(
-                f"metric callable returned shape {lam.shape}, expected {(dim, dim)}"
-            )
+            raise ValueError(f"metric callable returned shape {lam.shape}, expected {(dim, dim)}")
+        if not np.isfinite(lam).all():
+            raise ValueError(f"metric must be finite, got {lam.tolist()} at {x}")
         det = float(np.linalg.det(lam))
         if det <= 0:
             raise ValueError(f"metric determinant must be positive, got {det} at {x}")
@@ -480,7 +480,7 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
     The scan locates the final stationary point of the expected-EC curve;
     Brent's method then solves on the decreasing branch, and a root whose
     ``|EEC - alpha|`` exceeds ``1e-10`` raises :class:`NoSolutionError`, as
-    does ``alpha`` at or above the bracket-start EC.
+    do ``alpha`` at or above the peak EC and a curve that stops falling.
     """
     from scipy import optimize  # imported on first use: it is slow to load
 
@@ -497,18 +497,17 @@ def threshold(model: FieldModel, domain: Rectangle, alpha: float) -> ThresholdRe
     def eec(x: float) -> float:
         return float(_closed_form(model, lkcs, np.array([x]))[0])
 
-    # The bracket's right end doubles its distance from the peak, up to a
-    # window of 1000 marginal scales whose own end is evaluated too.
+    # The bracket's right end doubles its distance from the peak while each
+    # new EC value falls below the last; a plateau, a rise or a NaN ends it.
     _, scale = model._window()
-    limit = peak_u + 1000.0 * max(1.0, scale)
-    right = peak_u + max(1.0, scale)
-    while eec(right) >= alpha:
-        if right >= limit:
+    right, last = peak_u + max(1.0, scale), peak_value
+    while not (value := eec(right)) < alpha:
+        if not value < last:
             raise NoSolutionError(
-                f"expected EC never falls below alpha={alpha:g} within the "
-                f"search window ending at {right:g}"
+                f"expected EC never falls below alpha={alpha:g}: it stops "
+                f"falling at level {right:g}, where it is {value:.6g}"
             )
-        right = min(peak_u + 2.0 * (right - peak_u), limit)
+        last, right = value, peak_u + 2.0 * (right - peak_u)
     u_star = float(
         optimize.brentq(
             lambda x: eec(x) - alpha, peak_u, right, xtol=1e-13, rtol=8.9e-16, maxiter=300

@@ -475,8 +475,8 @@ def component_seed(seed: int, index: int) -> int:
     ``i`` of a multi-component model is the draw seeded ``component_seed(seed,
     i)``.  Kept public so that consumers can reproduce individual components.
     """
-    ss = np.random.SeedSequence([_whole(seed, "seed", least=0), int(index)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    entropy = [_whole(seed, "seed", least=0), _whole(index, "component index", least=0)]
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
 def _sum_of_squares(cov: CovarianceModel, indices, shape, spacing: float, seed: int) -> np.ndarray:

@@ -465,6 +465,29 @@ def test_threshold_alpha_ordering(capsys):
     assert u_star("0.4") < u_star("0.01")
 
 
+@pytest.mark.parametrize("model, dim", [("t:5", "3"), ("f:2:3", "2"), ("f:3:4", "3")])
+def test_heavy_tailed_threshold_solves(model, dim, capsys):
+    code, stdout, _ = run_cli(
+        ["threshold", "--model", model, "--cube", "1", "--dim", dim,
+         "--lambda2", "100", "--alpha", "0.05"],
+        capsys,
+    )
+    assert code == 0
+    assert abs(float(_parse_threshold(stdout)["eec_at_u"]) - 0.05) <= 1e-10
+
+
+@pytest.mark.parametrize("model, dim", [("t:3", "2"), ("t:4", "3")])
+def test_threshold_of_a_flattening_curve_is_a_numeric_error(model, dim, capsys):
+    code, stdout, err = run_cli(
+        ["threshold", "--model", model, "--cube", "1", "--dim", dim,
+         "--lambda2", "100", "--alpha", "0.05"],
+        capsys,
+    )
+    assert code == 4
+    assert stdout == ""
+    assert "never falls below alpha" in err
+
+
 def test_threshold_alpha_out_of_range(capsys):
     code, _, err = run_cli(
         ["threshold", "--model", "gaussian", "--cube", "1", "--dim", "2",

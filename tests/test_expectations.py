@@ -351,6 +351,22 @@ def test_quadrature_bad_metric_and_dim():
         top_lkc_quadrature(Rectangle((1.0,) * 4), lambda x: np.eye(4))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_quadrature_refuses_a_non_finite_metric_at_the_first_node(bad):
+    # a NaN metric used to run the node doublings to their cap (2 s, ~300k
+    # calls in 3-D) and end in QuadratureError
+    calls = []
+
+    def metric(x):
+        calls.append(x)
+        return np.full((3, 3), bad)
+
+    with pytest.raises(ValueError, match="metric must be finite") as info:
+        top_lkc_quadrature(Rectangle((1.0, 1.0, 1.0)), metric)
+    assert len(calls) == 1
+    assert str(calls[0]) in str(info.value)
+
+
 def test_quadrature_refuses_a_bad_tolerance_before_any_metric_call():
     # a NaN or negative tolerance can never be met: it ran to the node cap
     calls = []
@@ -835,25 +851,27 @@ def test_threshold_matches_independent_bisection():
 
 def test_rescaled_domain_leaves_curve_threshold_and_bound_unchanged():
     # sides x c with lambda2 / c^2 is the same field in other length units
+    # (the t_5 cube's threshold lies thousands of marginal scales out)
     gauss_levels = np.linspace(-3.0, 5.0, 17)
     positive_levels = np.linspace(0.5, 20.5, 17)
     cases = [
-        (lambda cov: GaussianModel(cov=cov), gauss_levels),
-        (lambda cov: ChiSquaredModel(k=5, cov=cov), positive_levels),
-        (lambda cov: ChiSquaredModel(k=5, cov=cov, standardized=True), gauss_levels),
-        (lambda cov: TFieldModel(k=5, cov=cov), gauss_levels),
-        (lambda cov: FFieldModel(n=1, m=7, cov=cov), positive_levels),
-        (lambda cov: FFieldModel(n=4, m=9, cov=cov), positive_levels),
+        (lambda cov: GaussianModel(cov=cov), gauss_levels, 2),
+        (lambda cov: ChiSquaredModel(k=5, cov=cov), positive_levels, 2),
+        (lambda cov: ChiSquaredModel(k=5, cov=cov, standardized=True), gauss_levels, 2),
+        (lambda cov: TFieldModel(k=5, cov=cov), gauss_levels, 2),
+        (lambda cov: FFieldModel(n=1, m=7, cov=cov), positive_levels, 2),
+        (lambda cov: FFieldModel(n=4, m=9, cov=cov), positive_levels, 2),
+        (lambda cov: TFieldModel(k=5, cov=cov), gauss_levels, 3),
     ]
-    for make, levels in cases:
-        base = make(COV200)
-        base_curve = expected_ec_curve(base, SQUARE, levels).values
-        base_result = threshold(base, SQUARE, 0.05)
+    for make, levels, dim in cases:
+        base, unit = make(COV200), Rectangle.cube(1.0, dim)
+        base_curve = expected_ec_curve(base, unit, levels).values
+        base_result = threshold(base, unit, 0.05)
         level = base_result.u_star  # above the expected-EC peak, so no warning
-        base_approx, base_bound = excursion_probability(base, SQUARE, level)
+        base_approx, base_bound = excursion_probability(base, unit, level)
         for c in (1.0, 2.0, 10.0):
             model = make(CovarianceModel(variance=1.0, lambda2=200.0 / c**2))
-            rect = Rectangle((c, c))
+            rect = Rectangle.cube(c, dim)
             curve = expected_ec_curve(model, rect, levels).values
             np.testing.assert_allclose(curve, base_curve, rtol=1e-12, atol=0.0)
             result = threshold(model, rect, 0.05)
@@ -979,10 +997,21 @@ def test_threshold_plateau_never_reaches_alpha(monkeypatch):
         threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
 
 
-def test_threshold_root_near_the_end_of_the_search_window():
-    # this t_5 curve first falls below alpha between 512 and 1000 marginal
-    # scales past its peak: past the last doubling of the bracket, inside
-    # the window, whose end the bracket must reach
+@pytest.mark.parametrize("far", [np.nan, 1.0], ids=["nan", "rise"])
+def test_threshold_stops_where_the_curve_stops_falling(monkeypatch, far):
+    # the curve peaks at 0 and the bracket ends 1, 2, 4, ..., 32; past level
+    # 30 the curve is `far`
+    def fake(model, lkcs, levels, order=0):
+        return np.where(levels > 30.0, far, 0.2 + 0.1 * np.exp(-levels / 5.0))
+
+    monkeypatch.setattr(expectations_mod, "_closed_form", fake)
+    with pytest.raises(NoSolutionError, match=f"stops falling at level 32, where it is {far:g}"):
+        threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
+
+
+def test_threshold_root_far_past_the_peak():
+    # this t_5 curve first falls below alpha between 512 and 1024 marginal
+    # scales past its peak, so the bracket doubles ten times
     model = TFieldModel(k=5, cov=CovarianceModel(variance=1.0, lambda2=50.0))
     box = Rectangle((1.0, 0.7, 1.3))
     result = threshold(model, box, 0.05)
@@ -991,7 +1020,39 @@ def test_threshold_root_near_the_end_of_the_search_window():
     assert abs(check - 0.05) <= 1e-10
     peak, _ = expectations_mod._peak(model, expectations_mod._metric_lkcs(model, box))
     _, scale = model._window()
-    assert peak + 512.0 * scale < result.u_star <= peak + 1000.0 * scale
+    assert peak + 512.0 * scale < result.u_star < peak + 1024.0 * scale
+
+
+# heavy-tailed fields whose expected EC falls as a power of u: the root lies
+# from two thousand to sixteen million marginal scales past the peak
+COV100 = CovarianceModel(variance=1.0, lambda2=100.0)
+FAR_ROOTS = [
+    (TFieldModel(k=5, cov=COV100), CUBE, 3040.5753666870391),
+    (FFieldModel(n=2, m=3, cov=COV100), SQUARE, 608684.9),
+    (FFieldModel(n=3, m=4, cov=COV100), CUBE, 49288159.9),
+]
+
+
+@pytest.mark.parametrize(
+    "model, domain, u_star", FAR_ROOTS, ids=["t5-cube", "f23-square", "f34-cube"]
+)
+def test_heavy_tailed_threshold_solves_however_far_its_root(model, domain, u_star):
+    result = threshold(model, domain, 0.05)
+    assert result.u_star == pytest.approx(u_star, rel=1e-8)
+    assert abs(result.eec_at_u - 0.05) <= 1e-10
+    check = expected_ec_curve(model, domain, np.array([result.u_star])).values[0]
+    assert abs(check - 0.05) <= 1e-10
+    peak, _ = expectations_mod._peak(model, expectations_mod._metric_lkcs(model, domain))
+    _, scale = model._window()
+    assert result.u_star > peak + 1000.0 * scale
+
+
+@pytest.mark.parametrize("k, domain", [(3, SQUARE), (4, CUBE)], ids=["t3-square", "t4-cube"])
+def test_threshold_refuses_a_curve_that_flattens_above_alpha(k, domain):
+    # with nu = k - 1 = D the t field's expected EC tends to a positive
+    # constant (7.958 on the square, 50.66 on the cube) instead of 0
+    with pytest.raises(NoSolutionError, match="never falls below alpha=0.05: it stops falling"):
+        threshold(TFieldModel(k=k, cov=COV100), domain, 0.05)
 
 
 def test_threshold_result_serialization():

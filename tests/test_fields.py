@@ -449,6 +449,15 @@ def test_float_seeds_are_refused_for_every_model():
         component_seed(1.5, 0)
 
 
+def test_component_index_is_refused_unless_a_whole_number():
+    # a fractional index was truncated to another component's seed
+    with pytest.raises(ValueError, match="component index must be an integer, got 1.7"):
+        component_seed(5, 1.7)
+    with pytest.raises(ValueError, match="component index must be >= 0, got -1"):
+        component_seed(5, -1)
+    assert component_seed(5, np.int64(1)) == component_seed(5, np.uint8(1)) == component_seed(5, 1)
+
+
 def test_chi_square_is_exact_sum_of_component_squares():
     # component i is the draw seeded component_seed(seed, i)
     shape, spacing, seed = (32, 32), 0.05, 77
