@@ -32,7 +32,7 @@ import itertools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -283,11 +283,17 @@ def _closed_form(model: FieldModel, lkcs: LKCVector, levels: np.ndarray, order: 
     return _kinematic_sum(lkcs, model._gmfs(levels, lkcs.dim - order), order)
 
 
+@dataclass(frozen=True)
+class _Workers:
+    """A worker count that every other compares equal to, so a cache key ignores it."""
+
+    count: int = field(compare=False)
+
+
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
 # the roughness add a key per request; the bound keeps that memory fixed.  The
-# key also holds ``jobs``, which never changes the curve: EC values are
-# integers, so every partial sum is exact.  No CLI run varies ``jobs`` within
-# one process, so this costs no hits.
+# worker count is not part of the key: EC values are integers, so every partial
+# sum is exact and the curve is the same for any count.
 @functools.lru_cache(maxsize=32)
 def _simulation_average(
     model: GaussianisedModel,
@@ -295,7 +301,7 @@ def _simulation_average(
     spacing: float,
     level_bytes: bytes,
     reps: int,
-    jobs: int,
+    workers: _Workers,
 ) -> np.ndarray:
     levels = np.frombuffer(level_bytes)
 
@@ -303,7 +309,7 @@ def _simulation_average(
         f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
         return ec_curve(f, levels).values
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=workers.count) as pool:
         return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
 
 
@@ -371,7 +377,9 @@ def expected_ec_curve(
     jobs = _whole(jobs, "jobs", least=1)
     meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
     meta["sim_reps"] = str(sim_reps)
-    average = _simulation_average(model, sim_shape, spacings[0], levels.tobytes(), sim_reps, jobs)
+    average = _simulation_average(
+        model, sim_shape, spacings[0], levels.tobytes(), sim_reps, _Workers(jobs)
+    )
     return ECCurve(levels=levels, values=average.copy(), kind="expected", meta=meta)
 
 

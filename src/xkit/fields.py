@@ -4,22 +4,26 @@ Gaussian fields with squared-exponential covariance are drawn exactly by
 circulant embedding: the covariance is wrapped onto a torus large enough
 that its FFT (the eigenvalue array of the circulant covariance operator)
 is nonnegative, and one white-noise FFT then yields a field whose
-finite-dimensional distributions on the cropped grid are exact up to two
+finite-dimensional distributions on the cropped grid are exact up to three
 cuts.  The torus reaches only a little past the grid: along each axis, to
 where the covariance is below ``e^-40`` of the variance (cut-off circulant
 embedding; Wood & Chan 1994, Gneiting et al. 2006), so a lag the torus
-wraps has its true and its wrapped covariance both below that.  And
+wraps has its true and its wrapped covariance both below that.
 ``_torus_spectrum`` zeroes eigenvalues down to ``-1e-9`` of the
 largest, and the sampler's covariance then misses the target by their mass
 over the torus size.  That gap is 2.9e-10 of the variance on an anisotropic
-12x10x9 grid at spacing 0.02 (torus 128x128x64).
+12x10x9 grid at spacing 0.02 (torus 128x128x64).  And the smallest
+half-spectrum modes, whose shares of the variance sum to at most ``1e-14``,
+are not drawn: on an oversampled grid the spectrum is a narrow bump.
 
 A field is real, so its noise needs only the half spectrum that ``irfft``
-reads: one ``standard_normal`` call fills it with complex noise, the cached
-amplitude scales it, and the inverse transform runs one axis at a time,
-cropping each leading axis to the grid right after its own ``ifft`` and
-ending with ``irfft`` on the last axis; the arithmetic is that of one
-``irfftn`` followed by the crop, bit for bit.
+reads: one ``standard_normal`` call draws complex noise for the kept modes,
+the cached amplitude scales it, and it fills a zero slab of the half
+spectrum cut to the last-axis width that holds every kept mode.  The
+inverse transform runs one axis at a time, cropping each leading axis to the
+grid right after its own ``ifft`` and ending with ``irfft`` on the last
+axis, which zero-pads the cut width; the arithmetic is that of one
+``irfftn`` of the whole half spectrum followed by the crop, bit for bit.
 
 Gaussian-derived fields (chi-square, Student-T, F, and
 probability-integral "gaussianised" transforms) are built pointwise from
@@ -66,6 +70,8 @@ __all__ = [
 FIELD_MAGIC = b"XKF1"
 
 _EIGENVALUE_TOL = 1e-9
+# The half-spectrum modes left undrawn carry at most this share of the variance.
+_UNDRAWN_SHARE = 1e-14
 # The torus reaches past each grid axis to where the covariance is below e^-40.
 _CUTOFF_EXPONENT = 40.0
 
@@ -394,24 +400,35 @@ def _torus_spectrum(cov: CovarianceModel, shape: tuple[int, ...], spacing: float
 
 # Embedding amplitudes are expensive to build and reused by every draw.  The
 # cache is thread-safe; two threads missing on one key may both compute it.
-# An entry is a float64 half spectrum.  The doubling loop caps torus axis a at
-# 8 p_a, p_a = next_pow2(n_a), so an entry holds at most
-# 8 * (8 p_0) * ... * (8 p_(d-2)) * (4 p_(d-1) + 1) bytes: 538,968,064 (514 MiB)
-# for a 64**3 grid, so 8 entries of grids up to 64**3 stay under 4.1 GiB.
-# Typical entries are far smaller: 64**3 at lambda2 = 880 is 84 x 84 x 43,
-# 2,427,264 bytes.
+# An entry holds 16 bytes per kept mode, an intp index and a float64
+# amplitude.  The doubling loop caps torus axis a at 8 p_a, p_a =
+# next_pow2(n_a), so an entry holds at most
+# 16 * (8 p_0) * ... * (8 p_(d-2)) * (4 p_(d-1) + 1) bytes: 1,077,936,128
+# (1.0 GiB) for a 64**3 grid, so 8 entries of grids up to 64**3 stay under
+# 8.1 GiB.  Typical entries are far smaller: 256**2 at lambda2 = 200 keeps
+# 1,430 modes in 22,880 bytes, and 64**3 at lambda2 = 880 keeps 82% of an
+# 84 x 84 x 43 half spectrum in 3,981,248 bytes.
 @functools.lru_cache(maxsize=8)
 def _amplitude(cov: CovarianceModel, shape: tuple[int, ...], spacing: float):
-    """Torus sizes and the half-spectrum noise amplitude, cached.
+    """Torus sizes, kept width, kept modes and their amplitudes, cached.
 
-    The amplitude is ``sqrt(lam / 2N)`` on a torus of ``N`` sites, and
-    ``sqrt(lam / N)`` on last-axis planes ``0`` and ``m / 2``: ``irfft``
-    pairs every other plane with its conjugate, but keeps only the
-    Hermitian part of those two, which halves their variance.
+    The modes and amplitudes are those :func:`simulate_gaussian` defines: a
+    mode off last-axis planes ``0`` and ``m / 2`` stands for itself and its
+    conjugate, so it carries ``2 lam / N`` of the variance.  ``kept`` holds
+    flat C-order indices into the half spectrum cut to ``width``, one past
+    the largest last-axis index of a kept mode.
     """
     sizes, lam = _torus_spectrum(cov, shape, spacing)
-    lam[..., 1 : (sizes[-1] + 1) // 2] /= 2.0
-    return sizes, np.sqrt(lam / float(np.prod(sizes)))
+    pairs = np.ones(lam.shape[-1])  # the torus modes each half-spectrum mode stands for
+    pairs[1 : (sizes[-1] + 1) // 2] = 2.0
+    share = lam * pairs
+    ascending = np.sort(share, axis=None)
+    budget = np.cumsum(ascending)
+    keep = share >= ascending[np.searchsorted(budget, _UNDRAWN_SHARE * budget[-1], side="right")]
+    width = int(np.nonzero(keep)[-1].max()) + 1
+    keep = keep[..., :width]
+    amplitude = np.sqrt(lam / (pairs * float(np.prod(sizes))))[..., :width][keep]
+    return sizes, width, np.flatnonzero(keep), amplitude
 
 
 def simulate_gaussian(
@@ -422,10 +439,14 @@ def simulate_gaussian(
     The sampler is deterministic: the same ``(cov, shape, spacing, seed)``
     produce a bit-identical field: ``irfftn(z * amplitude, norm="forward")``
     on the torus, cropped to the grid, where ``z`` is complex noise on the
-    half spectrum whose real and imaginary parts alternate in one
-    ``default_rng(seed).standard_normal`` draw, and the amplitude is
-    ``sqrt(lam / 2N)`` (``sqrt(lam / N)`` on last-axis planes ``0`` and
-    ``m / 2``) for torus eigenvalues ``lam`` and torus size ``N``.
+    kept modes of the half spectrum, in C order, whose real and imaginary
+    parts alternate in one ``default_rng(seed).standard_normal`` draw, and
+    zero on the others.  The amplitude is ``sqrt(lam / 2N)``
+    (``sqrt(lam / N)`` on last-axis planes ``0`` and ``m / 2``) for torus
+    eigenvalues ``lam`` and torus size ``N``.  A mode is kept unless it is
+    among the smallest whose shares of the variance (``2 lam / N``, or
+    ``lam / N`` on those two planes) sum to at most ``1e-14``; modes that
+    tie with the smallest kept one are kept.
 
     The grid must resolve the correlation length (``spacing *
     sqrt(lambda_ii) <= 0.5`` on every axis with more than one point); a grid
@@ -455,10 +476,11 @@ def simulate_gaussian(
                 "be noisy",
                 stacklevel=2,
             )
-    sizes, amplitude = _amplitude(cov, shape, spacing)
-    normals = np.random.default_rng(seed).standard_normal(amplitude.shape + (2,))
-    normals *= amplitude[..., None]
-    sample = normals.view(complex)[..., 0]
+    sizes, width, kept, amplitude = _amplitude(cov, shape, spacing)
+    normals = np.random.default_rng(seed).standard_normal((kept.size, 2))
+    normals *= amplitude[:, None]
+    sample = np.zeros(sizes[:-1] + (width,), dtype=complex)
+    sample.reshape(-1)[kept] = normals.view(complex)[:, 0]
     # Axis by axis in irfftn's order, so every line sees the same arithmetic.
     for axis, n in enumerate(shape[:-1]):
         sample = sp_fft.ifft(sample, axis=axis, norm="forward", overwrite_x=True)
@@ -538,8 +560,9 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
         if np.any(values < 0):
             raise ValueError("exact-chi2 gaussianisation needs nonnegative values")
         lower = special.gammainc(k / 2.0, values / 2.0)
-        upper = special.gammaincc(k / 2.0, values / 2.0)
-        out = np.where(lower <= 0.5, special.ndtri(lower), -special.ndtri(upper))
+        out = special.ndtri(lower)
+        upper = lower > 0.5  # only there is the upper tail the smaller one
+        out[upper] = -special.ndtri(special.gammaincc(k / 2.0, values[upper] / 2.0))
         return LatticeField(values=out, spacing=field.spacing)
     raise ValueError(f"unknown gaussianisation mode {mode!r}")
 

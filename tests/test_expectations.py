@@ -728,6 +728,19 @@ def test_gaussianised_curve_cached_and_reproducible(monkeypatch):
     np.testing.assert_array_equal(first.values, parallel.values)
 
 
+def test_gaussianised_curve_cache_ignores_the_worker_count():
+    # the curve is the same for any worker count, so asking again with
+    # another one is a hit, not a second simulation
+    model, rect = _tiny_gaussianised()
+    levels = np.array([-1.5, -0.5, 0.5, 1.5])
+    cache = expectations_mod._simulation_average
+    cache.cache_clear()
+    one = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=3, jobs=1)
+    two = expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=3, jobs=2)
+    assert (cache.cache_info().misses, cache.cache_info().hits) == (1, 1)
+    assert one.values.tobytes() == two.values.tobytes()
+
+
 def test_gaussianised_curve_cache_is_bounded_and_hits_are_copies():
     model, rect = _tiny_gaussianised()
     cache = expectations_mod._simulation_average

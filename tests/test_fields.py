@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import fft as sp_fft
-from scipy import stats
+from scipy import special, stats
 
 import xkit.fields as fields_mod
 from xkit.fields import (
@@ -182,20 +182,40 @@ def test_simulation_is_bit_reproducible():
     assert not np.array_equal(a.values, c.values)
 
 
-def _plain_circulant_draw(cov, shape, spacing, seed):
-    # the sampler as plain formulas: complex noise on the half spectrum, its
-    # real and imaginary parts alternating in one normal draw, times the square
-    # root of lam / 2N (lam / N on last-axis planes 0 and m / 2, where irfftn
-    # keeps only the Hermitian part), one unnormalised irfftn, cropped to the grid
+def _half_spectrum_shares(cov, shape, spacing):
+    # Torus sizes, eigenvalues and the share of the variance (times the torus
+    # size N) each half-spectrum mode carries: irfftn pairs every mode with its
+    # conjugate except on last-axis planes 0 and m / 2, where it keeps only the
+    # Hermitian part.
     sizes, lam = fields_mod._torus_spectrum(cov, shape, spacing)
     m = sizes[-1]
     halves = np.full(m // 2 + 1, 2.0)
     halves[0] = 1.0
     if m % 2 == 0:
         halves[-1] = 1.0
-    amplitude = np.sqrt(lam / (halves * math.prod(sizes)))
-    z = np.random.default_rng(seed).standard_normal(lam.shape + (2,))
-    noise = z[..., 0] * amplitude + 1j * (z[..., 1] * amplitude)
+    return sizes, lam, halves, lam * halves
+
+
+def _kept_modes(share):
+    # The documented rule: the smallest modes whose shares sum to at most 1e-14
+    # of the variance go undrawn, and every mode at least as large as the
+    # smallest one beyond that budget is kept.
+    ascending = np.sort(share, axis=None)
+    budget = np.cumsum(ascending)
+    return share >= ascending[np.searchsorted(budget, 1e-14 * budget[-1], side="right")]
+
+
+def _plain_circulant_draw(cov, shape, spacing, seed):
+    # the sampler as plain formulas: complex noise on the kept half-spectrum
+    # modes in C order, its real and imaginary parts alternating in one normal
+    # draw, times the square root of lam / 2N (lam / N on last-axis planes 0 and
+    # m / 2), zero on every other mode, one unnormalised irfftn, cropped to the grid
+    sizes, lam, halves, share = _half_spectrum_shares(cov, shape, spacing)
+    keep = _kept_modes(share)
+    amplitude = np.sqrt(lam / (halves * math.prod(sizes)))[keep]
+    z = np.random.default_rng(seed).standard_normal((amplitude.size, 2))
+    noise = np.zeros(lam.shape, dtype=complex)
+    noise[keep] = z[:, 0] * amplitude + 1j * (z[:, 1] * amplitude)
     crop = tuple(slice(0, n) for n in shape)
     return sp_fft.irfftn(noise, s=sizes, norm="forward")[crop]
 
@@ -247,22 +267,56 @@ def test_compact_torus_is_never_larger_than_the_power_of_two_torus(monkeypatch):
     assert compact[-3:] == [(420, 420), (486, 486), (308, 308)]
 
 
-def test_amplitude_cache_holds_eight_half_spectra():
-    # The memory bound stated beside the cache: at most 8 entries, each a float64
-    # half spectrum on the torus; the 64**3 grid of criterion 7 takes 2.4 MB.
+def test_amplitude_cache_holds_eight_kept_spectra():
+    # The memory bound stated beside the cache: at most 8 entries, each an intp
+    # index and a float64 amplitude per kept mode; the 64**3 grid of criterion
+    # 7 keeps 82% of its half spectrum in 4.0 MB, a 256**2 draw of mc-study 1.6%
+    # in 23 kB.
     assert fields_mod._amplitude.cache_parameters()["maxsize"] == 8
     cov = CovarianceModel(variance=1.0, lambda2=880.0)
-    sizes, amplitude = fields_mod._amplitude(cov, (64, 64, 64), 1 / 63)
-    assert sizes == (84, 84, 84)
-    assert amplitude.shape == (84, 84, 43) and amplitude.dtype == np.float64
-    assert amplitude.nbytes == 2_427_264
+    sizes, width, kept, amplitude = fields_mod._amplitude(cov, (64, 64, 64), 1 / 63)
+    assert sizes == (84, 84, 84) and width == 43
+    assert kept.dtype == np.intp and amplitude.dtype == np.float64
+    assert kept.nbytes + amplitude.nbytes == 3_981_248
+    sizes, width, kept, amplitude = fields_mod._amplitude(COV200, (256, 256), 1 / 255)
+    assert sizes == (420, 420) and width == 30
+    assert kept.nbytes + amplitude.nbytes == 22_880
+
+
+UNDRAWN_GRIDS = [case[:3] for case in SAMPLER_CASES] + [
+    (COV200, (256, 256), 1 / 255),  # mc-study's Gaussian field
+    (CovarianceModel(variance=1.0, lambda2=100.0), (256, 256), 1 / 255),  # its chi^2_5 field
+    (CovarianceModel(variance=1.0, lambda2=100.0), (128, 128), 1 / 127),  # calibrate's miss,
+    (CovarianceModel(variance=1.0, lambda2=120.0), (128, 128), 1 / 127),  # both ends
+]
+
+
+def test_undrawn_modes_carry_at_most_1e_14_of_the_variance():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for cov, shape, spacing in UNDRAWN_GRIDS:
+            sizes, lam, halves, share = _half_spectrum_shares(cov, shape, spacing)
+            _, width, kept, amplitude = fields_mod._amplitude(cov, shape, spacing)
+            slab = np.zeros(lam.shape[:-1] + (width,), dtype=bool)
+            slab.reshape(-1)[kept] = True
+            drawn = np.zeros(lam.shape, dtype=bool)
+            drawn[..., :width] = slab
+            assert drawn[..., width - 1].any(), shape  # the width is the least that holds them
+            assert share[~drawn].sum() <= 1e-14 * cov.variance * math.prod(sizes), shape
+            assert np.all(share[~drawn] <= share[drawn].min()), shape  # the smallest go
+            expected = np.sqrt(lam / (halves * math.prod(sizes)))[drawn]
+            np.testing.assert_array_equal(amplitude, expected)
+    # the gain: the 256**2 draws of mc-study keep under 2% of their half spectrum
+    for cov, shape, spacing in UNDRAWN_GRIDS[len(SAMPLER_CASES) : len(SAMPLER_CASES) + 2]:
+        sizes, _, kept, _ = fields_mod._amplitude(cov, shape, spacing)
+        assert kept.size < 0.02 * math.prod(sizes[:-1]) * (sizes[-1] // 2 + 1), cov
 
 
 def _draw_map(cov, shape, spacing, monkeypatch):
     # The draw as a matrix: column i is the field drawn when the normal deviates
-    # are the i-th unit vector (the seed picks the vector).
-    _, amplitude = fields_mod._amplitude(cov, shape, spacing)
-    count = 2 * amplitude.size
+    # are the i-th unit vector (the seed picks the vector); two per kept mode.
+    _, _, kept, _ = fields_mod._amplitude(cov, shape, spacing)
+    count = 2 * kept.size
 
     class UnitNormals:
         def __init__(self, index):
@@ -283,11 +337,11 @@ def test_draw_has_the_exact_target_covariance(monkeypatch):
     # The draw is linear in its unit normal inputs, x = A z, so its covariance
     # is A A^T exactly.  The embedding zeroes eigenvalues that fall below 0 by
     # at most 1e-9 of the largest, which shifts the covariance by their mass /
-    # N, and the compact torus drops covariance below e^-40; both sit far
-    # below the 1e-9 asserted here.  A map costs one draw per input, so the
-    # grids whose torus has over 10,000 sites (the twice-doubled one, and the
-    # 3-D anisotropic one with over a million inputs) are left to the formula
-    # test above.
+    # N (at most 3.8e-12 on these grids), the compact torus drops covariance
+    # below e^-40, and the undrawn modes carry at most 1e-14 of the variance;
+    # all sit below the 1e-11 asserted here.  A map costs one draw per input,
+    # so the grids whose torus has over 10,000 sites (the twice-doubled one,
+    # and the 3-D anisotropic one) are left to the formula test above.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for cov, shape, spacing, torus in SAMPLER_CASES:
@@ -297,7 +351,7 @@ def test_draw_has_the_exact_target_covariance(monkeypatch):
             sites = np.stack(np.meshgrid(*map(np.arange, shape), indexing="ij"), axis=-1)
             sites = sites.reshape(-1, len(shape)) * spacing
             target = cov.variance * cov.correlation(sites[:, None, :] - sites[None, :, :])
-            assert np.abs(a @ a.T - target).max() <= 1e-9 * cov.variance, shape
+            assert np.abs(a @ a.T - target).max() <= 1e-11 * cov.variance, shape
 
 
 def test_single_site_grid_gives_standard_normal_marginal():
@@ -623,6 +677,20 @@ def test_gaussianise_exact_chi2_matches_quantiles():
     out = gaussianise(f, mode="exact-chi2", k=5).values
     expected = stats.norm.ppf(stats.chi2(5).cdf(u))
     assert np.allclose(out, expected, atol=1e-10)
+
+
+def test_gaussianise_exact_chi2_takes_the_smaller_tail_bit_for_bit():
+    # the upper tail is evaluated only where the lower one passes 1/2; the
+    # bits are those of evaluating both tails everywhere
+    for k in (1, 3, 5, 40):
+        u = np.random.default_rng(k).chisquare(k, 4000)
+        u[:3] = [1e-6, 80.0 + k, k]  # both far tails and the middle
+        out = gaussianise(LatticeField(values=u, spacing=0.1), mode="exact-chi2", k=k).values
+        lower = special.gammainc(k / 2.0, u / 2.0)
+        upper = special.gammaincc(k / 2.0, u / 2.0)
+        both = np.where(lower <= 0.5, special.ndtri(lower), -special.ndtri(upper))
+        assert np.array_equal(out, both), k
+        assert np.any(lower > 0.5) and np.any(lower <= 0.5)
 
 
 def test_gaussianise_twice_preserves_ranks():
