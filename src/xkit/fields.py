@@ -539,7 +539,8 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
     least 100 samples and a non-degenerate field); ``mode="exact-chi2"``
     uses the exact chi-square CDF with ``k`` degrees of freedom, evaluated
     through whichever gamma tail is smaller so both tails keep full
-    accuracy.
+    accuracy.  A value whose tail probability is 0 or underflows (a
+    chi-square value of 0, say) has no finite normal score and is refused.
     """
     values = field.values
     if mode == "empirical":
@@ -563,6 +564,14 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
         out = special.ndtri(lower)
         upper = lower > 0.5  # only there is the upper tail the smaller one
         out[upper] = -special.ndtri(special.gammaincc(k / 2.0, values[upper] / 2.0))
+        infinite = np.flatnonzero(np.isinf(out))
+        if infinite.size:
+            at = infinite[0]
+            raise ValueError(
+                f"exact-chi2 gaussianisation cannot map {float(values.flat[at])!r}: its "
+                f"chi-square({k}) {'upper' if out.flat[at] > 0 else 'lower'} tail probability "
+                f"is 0 or underflows, so it has no finite normal score"
+            )
         return LatticeField(values=out, spacing=field.spacing)
     raise ValueError(f"unknown gaussianisation mode {mode!r}")
 

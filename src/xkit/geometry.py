@@ -91,7 +91,7 @@ def _check_levels(levels) -> np.ndarray:
     if levels.ndim != 1 or levels.size == 0:
         raise ValueError("levels must be a non-empty 1-d array")
     _finite_levels(levels)
-    if np.any(np.diff(levels) <= 0):
+    if np.any(levels[1:] <= levels[:-1]):  # a difference can overflow
         raise ValueError("levels must be strictly increasing")
     return levels
 

@@ -11,7 +11,8 @@ Face counting is done with shifted array reductions, never by materialising
 face lists, so memory stays proportional to the grid.  Every reduction is a
 minimum over a face's corners: over a mask's corners for one level, and for
 a whole EC curve over each site's level rank (the number of levels at or
-below its value), after which the curve is a histogram of small integers.
+below its value, found without a sort from an order-keeping bucket map),
+after which the curve is a histogram of small integers.
 The face counts also give every Lipschitz-Killing curvature of the complex
 (:func:`geometric_measures`).
 
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 _MAX_DIM = 3
+_FLOAT = np.finfo(float)
 
 
 class CurveFormatError(ValueError):
@@ -155,18 +157,55 @@ class ECCurve:
         )
 
 
+def _ranks(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The number of ``levels`` at or below each of the finite ``values``.
+
+    ``np.searchsorted(levels, values, side="right")`` for strictly increasing
+    levels, as ``np.min_scalar_type(levels.size)``, without a sort.  One map,
+    ``trunc(clip((x - levels[0]) * scale, 0, 2 * levels.size))``, puts levels
+    and values into buckets.  A rounded subtraction, a product with a positive
+    constant, a clip and a truncation each keep order, so whatever the scale,
+    a level in a lower bucket than a value is at or below it and a level in a
+    higher bucket is above it.  The rank is the count of levels in lower
+    buckets, from a table, plus those in the value's own bucket at or below
+    it, found in halving steps (one step for evenly spaced levels).  The scale
+    is clipped to the positive finite floats: a single level (a span of 0) or
+    a span that overflows would give ``inf * 0 = nan`` for a far-away value.
+    """
+    buckets = 2 * levels.size
+    with np.errstate(divide="ignore", over="ignore"):
+        scale = np.clip(buckets / (levels[-1] - levels[0]), _FLOAT.tiny, _FLOAT.max)
+
+        def bucket(x):
+            return np.clip((x - levels[0]) * scale, 0, buckets).astype(np.intp)
+
+        level_buckets = bucket(levels)
+        most = int(np.bincount(level_buckets).max())  # the most levels in one bucket
+        # room for the last comparison's index, up to levels.size + most - 1
+        dtype = np.min_scalar_type(levels.size + most)
+        below = np.searchsorted(level_buckets, np.arange(buckets + 1)).astype(dtype)
+        rank = below[bucket(values)]
+    padded = np.append(levels, np.full(most, np.inf))
+    for k in reversed(range(most.bit_length())):
+        step = dtype.type(1 << k)
+        rank += step * (values >= padded[rank + (step - 1)])
+    return rank.astype(np.min_scalar_type(levels.size), copy=False)
+
+
 def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) -> ECCurve:
     """Empirical EC curve of a lattice field over strictly increasing levels.
 
     Rather than rebuilding a mask per level, the sites are ranked against the
-    levels once: one argsort of the values, one search of the levels, and
-    each site's rank is the number of levels at or below its value (a uint8
-    for up to 255 levels).  The rank does not decrease with the value, so the
-    minimum of a face's corner ranks is the rank of its corner minimum, and
-    the face is present at ``levels[k]`` exactly when that rank exceeds ``k``.
-    Each face type adds its signed histogram of minimum ranks into one, and
+    levels once, without a sort: each site's rank is the number of levels at
+    or below its value (a uint8 for up to 255 levels), read from a bucket
+    table and settled by comparing against the levels that share the site's
+    bucket (:func:`_ranks`; one comparison for evenly spaced levels).  The
+    rank does not decrease with the value, so the minimum of a face's corner
+    ranks is the rank of its corner minimum, and the face is present at
+    ``levels[k]`` exactly when that rank exceeds ``k``.  Each face type, the
+    sites included, adds its signed histogram of minimum ranks into one, and
     the curve is that histogram's reverse cumulative sum: exact integers,
-    ties included, for the cost of one sort.
+    ties included.
 
     Each value is the exact EC of the lattice's closed cubical complex.  As
     an estimate of the continuum EC it is biased by an amount that depends
@@ -180,15 +219,9 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     values = field.values
     if not 1 <= values.ndim <= _MAX_DIM:
         raise ValueError(f"unsupported dimension {values.ndim}")
-    order = np.argsort(values, axis=None)
-    cut = np.searchsorted(values.ravel()[order], levels, side="left")
-    # the sites (0-faces) per rank, which is also the histogram of the ranks
-    faces = np.diff(cut, prepend=0, append=values.size)
-    rank = np.empty(values.size, dtype=np.min_scalar_type(levels.size))
-    rank[order] = np.repeat(np.arange(levels.size + 1, dtype=rank.dtype), faces)
-    for bits, minima in _corner_reductions(rank.reshape(values.shape)):
-        if bits:
-            faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
+    faces = np.zeros(levels.size + 1, dtype=np.int64)
+    for bits, minima in _corner_reductions(_ranks(values, levels)):
+        faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
     # faces present at levels[k] are those whose minimum rank exceeds k
     chi = np.cumsum(faces[:0:-1])[::-1]
     base_meta = {"shape": "x".join(str(n) for n in field.shape), "spacing": repr(field.spacing)}

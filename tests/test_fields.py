@@ -693,6 +693,18 @@ def test_gaussianise_exact_chi2_takes_the_smaller_tail_bit_for_bit():
         assert np.any(lower > 0.5) and np.any(lower <= 0.5)
 
 
+def test_gaussianise_exact_chi2_refuses_a_value_with_no_finite_score():
+    # a legal 0, a lower tail that underflows and an upper tail that underflows
+    for values, k, message in (
+        ([0.0, 1.0], 1, r"cannot map 0\.0: its chi-square\(1\) lower tail"),
+        ([1e-300, 1.0], 3, r"cannot map 1e-300: its chi-square\(3\) lower tail"),
+        ([1.0, 2e4], 1, r"cannot map 20000\.0: its chi-square\(1\) upper tail"),
+    ):
+        f = LatticeField(values=np.array(values), spacing=0.1)
+        with pytest.raises(ValueError, match=message):
+            gaussianise(f, mode="exact-chi2", k=k)
+
+
 def test_gaussianise_twice_preserves_ranks():
     chi = simulate_model(ChiSquaredModel(k=5, cov=COV20), (64, 64), 0.05, seed=81)
     once = gaussianise(chi, mode="exact-chi2", k=5)

@@ -23,6 +23,7 @@ from xkit.topology import (
     excursion_mask,
     face_counts,
     geometric_measures,
+    _ranks,
     read_ec_csv,
     write_ec_csv,
 )
@@ -189,6 +190,49 @@ def test_ec_curve_counts_ties_exactly_against_per_level_recount():
             direct = [euler_characteristic(excursion_mask(f, u)) for u in levels]
             assert ec_curve(f, levels).values.tolist() == direct, (shape, levels.size)
         assert np.array_equal(f.values, before)
+
+
+def _recount(f, levels):
+    """``euler_characteristic`` at every level, counted once per distinct mask."""
+    seen = {}
+    for u in levels:
+        mask = excursion_mask(f, u)
+        key = mask.tobytes()
+        if key not in seen:
+            seen[key] = euler_characteristic(mask)
+        yield seen[key]
+
+
+def test_ec_curve_ranks_any_increasing_levels():
+    # The bucketed rank is exact for any strictly increasing levels, not only
+    # evenly spaced ones: many levels in one bucket, a single level, a span
+    # that overflows to inf and more levels than a uint16 holds.
+    rng = np.random.default_rng(21)
+    cases = [
+        (np.array([0.0, 1e-12, 2e-12, 1.0]),
+         lambda shape: rng.choice([-1.0, 0.0, 5e-13, 1e-12, 1.5e-12, 2e-12, 3e-12, 1.0, 2.0], shape)),
+        (np.geomspace(1e-6, 1e6, 61), lambda shape: 10.0 ** rng.uniform(-7.0, 7.0, shape)),
+        (np.unique(rng.standard_normal(300) ** 3), lambda shape: 2.0 * rng.standard_normal(shape) ** 3),
+        (None, rng.standard_normal),  # the levels are the field's own values
+        (np.array([0.25]), lambda shape: rng.choice([-1.0, 0.25, 1.0], shape)),
+        # 255 levels, the top 32 in one bucket: the search looks past index 255
+        (np.append(np.linspace(-1e3, -1.0, 223), np.linspace(0.0, 1e-3, 32)),
+         lambda shape: rng.choice([-2e3, -500.0, 5e-4, 1.0], shape)),
+        (np.array([-1e308, 1e308]),
+         lambda shape: 1e308 * rng.choice([-1.7, -1.0, -0.5, 0.0, 0.5, 1.0, 1.7], shape)),
+        (np.arange(-35_000, 35_000) / 4096.0,
+         lambda shape: rng.integers(-40_000, 40_000, shape) / 4096.0),
+    ]
+    for shape in [(9,), (7, 5), (4, 5, 3)]:
+        for levels, draw in cases:
+            f = LatticeField(values=draw(shape), spacing=0.1)
+            if levels is None:
+                levels = np.unique(f.values)
+            rank = _ranks(f.values, levels)
+            assert rank.dtype == np.min_scalar_type(levels.size)
+            assert np.array_equal(rank, np.searchsorted(levels, f.values, side="right"))
+            assert ec_curve(f, levels).values.tolist() == list(_recount(f, levels)), (shape, levels[:3])
+    assert rank.dtype == np.uint32  # the last case's 70,000 levels
 
 
 def test_ec_curve_endpoints():
