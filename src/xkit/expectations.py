@@ -42,12 +42,14 @@ from .fields import (
     GaussianModel,
     GaussianisedModel,
     _check_spectral_matrix,
+    _chi2_quantiles,
+    _chi2_scores,
     component_seed,
     simulate_model,
 )
 from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
 from .geometry import _check_levels, _finite_levels, _gaussian_gmfs, _positive, _whole
-from .topology import ECCurve, ec_curve
+from .topology import ECCurve, _rank_curve, _ranks
 
 __all__ = [
     "CapabilityError",
@@ -290,6 +292,52 @@ class _Workers:
     count: int = field(compare=False)
 
 
+# A chi-square value within this relative distance of a pulled level is ranked
+# by its own normal score.  Pulled levels are exact only to rounding, and the
+# computed score is not monotone at that scale (see fields.gaussianise): over
+# levels in [-25, 25] and k up to 1000, values within +-3000 ULPs of a pulled
+# level lay on the wrong side of it up to 3.4e-13 (relative) away.
+_PULL_BRACKET = 1e-8
+# Levels beyond +-25 are not pulled back: the chi-square(1) lower quantile goes
+# as Phi(u)^2, which turns subnormal below u = -26, where a relative bracket
+# has no room.  Values past the pulled +-25 are ranked by their own scores.
+_PULL_LIMIT = 25.0
+
+
+def _chi2_ranks(levels: np.ndarray, k: int):
+    """The ranks of chi-square(``k``) values against ``levels`` of their normal scores.
+
+    Returns a function of a value array that gives what ``_ranks`` gives for
+    the values' :func:`~xkit.fields._chi2_scores`, the same integers, while
+    evaluating scores only where the pulled-back levels cannot decide: for
+    values within ``_PULL_BRACKET`` of one, or past the pulled ``+-_PULL_LIMIT``
+    (where also every value the scores refuse lies, so it is still refused).
+    The bracket edges are interleaved as ``[tail end, lo_0, hi_0, ...,
+    tail start]``: a value with an odd count ``2t + 1`` of edges at or below
+    it lies between brackets, past ``t`` pulled levels and every level at or
+    below ``-_PULL_LIMIT``; an even count puts it in a bracket or a tail.
+    """
+    inner = levels[np.abs(levels) < _PULL_LIMIT]
+    below = np.count_nonzero(levels <= -_PULL_LIMIT)
+    pulled = _chi2_quantiles(np.concatenate(([-_PULL_LIMIT], inner, [_PULL_LIMIT])), k)
+    brackets = np.stack([pulled * (1.0 - _PULL_BRACKET), pulled * (1.0 + _PULL_BRACKET)], axis=1)
+    # [tail end, lo_0, hi_0, ..., lo_(m-1), hi_(m-1), tail start], made
+    # nondecreasing for _ranks: brackets overlap where levels pull back to one
+    # value (0 and 1e-17 do), or out of order by rounding
+    edges = np.maximum.accumulate(brackets.ravel()[1:-1])
+    dtype = np.min_scalar_type(levels.size)
+
+    def ranks(values: np.ndarray) -> np.ndarray:
+        count = _ranks(values, edges)
+        rank = (count // 2).astype(dtype)  # wraps only where overwritten below
+        rank += dtype.type(below)
+        scored = count % 2 == 0  # in a bracket or a tail
+        rank[scored] = _ranks(_chi2_scores(values[scored], k), levels)
+        return rank
+
+    return ranks
+
+
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
 # the roughness add a key per request; the bound keeps that memory fixed.  The
 # worker count is not part of the key: EC values are integers, so every partial
@@ -303,11 +351,25 @@ def _simulation_average(
     reps: int,
     workers: _Workers,
 ) -> np.ndarray:
+    """The mean EC curve over ``reps`` draws of the internal seed schedule.
+
+    A chi-square base's exact CDF is increasing, so its gaussianised field
+    is at or above a level where the chi-square draw is at or above the
+    pulled-back level, up to rounding that :func:`_chi2_ranks` settles: each
+    chi-square draw is ranked as it is, with a score only for the few values
+    that rounding could place wrongly.  Other bases are drawn gaussianised and
+    ranked against the levels.
+    """
     levels = np.frombuffer(level_bytes)
+    k = model._chi2_k
+    if k is None:
+        base, rank = model, functools.partial(_ranks, levels=levels)
+    else:
+        base, rank = model.base, _chi2_ranks(levels, k)
 
     def one(rep: int) -> np.ndarray:
-        f = simulate_model(model, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
-        return ec_curve(f, levels).values
+        f = simulate_model(base, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
+        return _rank_curve(rank(f.values), levels.size)
 
     with ThreadPoolExecutor(max_workers=workers.count) as pool:
         return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
@@ -330,7 +392,14 @@ def expected_ec_curve(
     densities (Taylor 2006; Worsley 1994): the kinematic sum over the
     functionals their ``_gmfs`` hook returns for all levels at once.
     Gaussianised models, which have no closed form, use a cached simulation
-    average on a ``sim_shape`` lattice.
+    average on a ``sim_shape`` lattice.  Over an unstandardised chi-square
+    base, whose exact CDF is increasing, each draw's curve is counted on the
+    chi-square draw itself at the levels pulled back through that CDF, so no
+    site is transformed.  The computed transform is not monotone at the
+    rounding scale (see :func:`~xkit.fields.gaussianise`), so a value within
+    1e-8 (relative) of a pulled level is ranked by its own normal score, as
+    are the values past the levels pulled from +-25: the curve is the same
+    integers as that of the gaussianised draws.
     """
     levels = _check_levels(levels)
     dim = domain.dim

@@ -192,6 +192,17 @@ def _ranks(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return rank.astype(np.min_scalar_type(levels.size), copy=False)
 
 
+def _rank_curve(ranks: np.ndarray, size: int) -> np.ndarray:
+    """The EC at each of ``size`` levels from the sites' level ranks, as int64."""
+    if not 1 <= ranks.ndim <= _MAX_DIM:
+        raise ValueError(f"unsupported dimension {ranks.ndim}")
+    faces = np.zeros(size + 1, dtype=np.int64)
+    for bits, minima in _corner_reductions(ranks):
+        faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
+    # faces present at levels[k] are those whose minimum rank exceeds k
+    return np.cumsum(faces[:0:-1])[::-1]
+
+
 def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) -> ECCurve:
     """Empirical EC curve of a lattice field over strictly increasing levels.
 
@@ -216,14 +227,7 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     a bound on this bias.
     """
     levels = _check_levels(levels)
-    values = field.values
-    if not 1 <= values.ndim <= _MAX_DIM:
-        raise ValueError(f"unsupported dimension {values.ndim}")
-    faces = np.zeros(levels.size + 1, dtype=np.int64)
-    for bits, minima in _corner_reductions(_ranks(values, levels)):
-        faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
-    # faces present at levels[k] are those whose minimum rank exceeds k
-    chi = np.cumsum(faces[:0:-1])[::-1]
+    chi = _rank_curve(_ranks(field.values, levels), levels.size)
     base_meta = {"shape": "x".join(str(n) for n in field.shape), "spacing": repr(field.spacing)}
     if meta:
         base_meta.update(meta)

@@ -13,6 +13,7 @@ import pytest
 from scipy import stats
 
 import xkit.expectations as expectations_mod
+import xkit.fields as fields_mod
 from xkit.expectations import (
     CapabilityError,
     NoSolutionError,
@@ -37,6 +38,9 @@ from xkit.fields import (
     GaussianisedModel,
     GaussianModel,
     TFieldModel,
+    _chi2_quantiles,
+    _chi2_scores,
+    component_seed,
     simulate_model,
 )
 from xkit.geometry import (
@@ -51,7 +55,7 @@ from xkit.geometry import (
     rectangle_lkcs,
     tube_volume_rectangle,
 )
-from xkit.topology import ECCurve, ec_curve
+from xkit.topology import ECCurve, _ranks, ec_curve
 
 COV200 = CovarianceModel(variance=1.0, lambda2=200.0)
 COV880 = CovarianceModel(variance=1.0, lambda2=880.0)
@@ -784,6 +788,69 @@ def test_gaussianised_curve_cache_tells_standardized_chi_square_apart():
         curve(first)
         np.testing.assert_array_equal(curve(second), wanted)
     cache.cache_clear()
+
+
+@pytest.mark.parametrize("k", [1, 5, 20])
+def test_pulled_chi2_ranks_match_the_scores_around_each_pulled_level(k):
+    # values on each pulled level, within +-3000 ULPs of it and about the
+    # bracket's edges rank as their own normal scores do.  Beside 81 levels
+    # are 1e-17, which pulls back to the value of 0, and each level's upper
+    # neighbour that pulls back below that level's value
+    levels = np.linspace(-4.0, 4.0, 81)
+    close = np.nextafter(levels, np.inf)
+    flipped = close[_chi2_quantiles(close, k) < _chi2_quantiles(levels, k)]
+    levels = np.union1d(levels, np.append(flipped, 1e-17))
+    pulled = _chi2_quantiles(levels, k)
+    ulps = np.arange(-3000, 3001)[:, None] * np.spacing(pulled)
+    edges = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])[:, None] * expectations_mod._PULL_BRACKET
+    values = np.concatenate([pulled + ulps, pulled * (1.0 + edges)])
+    wanted = _ranks(_chi2_scores(values, k), levels)
+    assert expectations_mod._chi2_ranks(levels, k)(values).tobytes() == wanted.tobytes()
+    # the raw pulled levels alone rank some of these values wrongly
+    assert np.any(_ranks(values, np.sort(pulled)) != wanted)
+
+
+CURVE_EDGE_LEVELS = [-40.0, -38.6, -38.0, -3.0, 0.0, 1e-17, 3.0, 38.0, 40.0]
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+@pytest.mark.parametrize("sim_shape, side", [((33, 33), 1.6), ((14, 14, 14), 0.65)])
+def test_gaussianised_chi2_curve_is_the_mean_of_its_draws_curves(k, sim_shape, side):
+    # levels past every finite score (|u| > 38.47), two just inside it and
+    # two, 0 and 1e-17, that pull back to one chi-square value
+    cov = CovarianceModel(variance=1.0, lambda2=100.0)
+    model = GaussianisedModel(ChiSquaredModel(k=k, cov=cov))
+    rect = Rectangle((side,) * len(sim_shape))
+    spacing = side / (sim_shape[0] - 1)
+    expectations_mod._simulation_average.cache_clear()
+    curve = expected_ec_curve(model, rect, CURVE_EDGE_LEVELS, sim_shape=sim_shape, sim_reps=3)
+    draws = [
+        simulate_model(model, sim_shape, spacing, component_seed(expectations_mod._CURVE_SEED_BASE, r))
+        for r in range(3)
+    ]
+    total = sum((ec_curve(f, CURVE_EDGE_LEVELS).values for f in draws), np.zeros(9))
+    assert curve.values.tobytes() == (total / 3).tobytes()
+
+
+@pytest.mark.parametrize("value, message", [
+    (0.0, r"cannot map 0\.0: its chi-square\(1\) lower tail"),
+    (2e4, r"cannot map 20000\.0: its chi-square\(1\) upper tail"),
+    (-1.0, r"needs nonnegative values"),
+])
+def test_gaussianised_chi2_curve_refuses_what_gaussianise_refuses(monkeypatch, value, message):
+    real = fields_mod._sum_of_squares
+
+    def with_one_value(*args):
+        total = real(*args)
+        total[3, 5] = value
+        return total
+
+    monkeypatch.setattr(fields_mod, "_sum_of_squares", with_one_value)
+    model = GaussianisedModel(ChiSquaredModel(k=1, cov=CovarianceModel(lambda2=100.0)))
+    expectations_mod._simulation_average.cache_clear()
+    with pytest.raises(ValueError, match=message):
+        expected_ec_curve(model, Rectangle((1.6, 1.6)), [-1.0, 0.0, 1.0],
+                          sim_shape=(33, 33), sim_reps=1)
 
 
 # ---------------------------------------------------------------------------

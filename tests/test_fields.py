@@ -705,6 +705,23 @@ def test_gaussianise_exact_chi2_refuses_a_value_with_no_finite_score():
             gaussianise(f, mode="exact-chi2", k=k)
 
 
+@pytest.mark.parametrize("k", [2.5, math.nan, "3"])
+def test_gaussianise_exact_chi2_refuses_degrees_of_freedom_that_are_not_whole(k):
+    f = LatticeField(values=np.array([1.0, 2.0]), spacing=0.1)
+    with pytest.raises(ValueError, match=r"^degrees of freedom must be an integer, got "):
+        gaussianise(f, mode="exact-chi2", k=k)
+
+
+def test_gaussianise_exact_chi2_reads_true_degrees_of_freedom_as_one():
+    # as ChiSquaredModel does: True is the integer 1, and errors name it so
+    f = LatticeField(values=np.array([0.5, 2.0, 7.0]), spacing=0.1)
+    one = gaussianise(f, mode="exact-chi2", k=1).values
+    assert gaussianise(f, mode="exact-chi2", k=True).values.tobytes() == one.tobytes()
+    zero = LatticeField(values=np.array([0.0, 1.0]), spacing=0.1)
+    with pytest.raises(ValueError, match=r"chi-square\(1\) lower tail"):
+        gaussianise(zero, mode="exact-chi2", k=True)
+
+
 def test_gaussianise_twice_preserves_ranks():
     chi = simulate_model(ChiSquaredModel(k=5, cov=COV20), (64, 64), 0.05, seed=81)
     once = gaussianise(chi, mode="exact-chi2", k=5)
