@@ -49,7 +49,7 @@ from .fields import (
 )
 from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
 from .geometry import _check_levels, _finite_levels, _gaussian_gmfs, _positive, _whole
-from .topology import ECCurve, _rank_curve, _ranks
+from .topology import ECCurve, _check_dim, _rank_curve, _ranks
 
 __all__ = [
     "CapabilityError",
@@ -293,14 +293,11 @@ class _Workers:
 
 
 # A chi-square value within this relative distance of a pulled level is ranked
-# by its own normal score.  Pulled levels are exact only to rounding, and the
-# computed score is not monotone at that scale (see fields.gaussianise): over
-# levels in [-25, 25] and k up to 1000, values within +-3000 ULPs of a pulled
-# level lay on the wrong side of it up to 3.4e-13 (relative) away.
+# by its own normal score: pulled levels are exact only to rounding, and the
+# computed score is not monotone at that scale (see fields.gaussianise).
 _PULL_BRACKET = 1e-8
-# Levels beyond +-25 are not pulled back: the chi-square(1) lower quantile goes
-# as Phi(u)^2, which turns subnormal below u = -26, where a relative bracket
-# has no room.  Values past the pulled +-25 are ranked by their own scores.
+# Levels beyond +-25 are not pulled back: the chi-square(1) lower quantile, about
+# Phi(u)^2, turns subnormal below u = -26, where a relative bracket has no room.
 _PULL_LIMIT = 25.0
 
 
@@ -308,30 +305,28 @@ def _chi2_ranks(levels: np.ndarray, k: int):
     """The ranks of chi-square(``k``) values against ``levels`` of their normal scores.
 
     Returns a function of a value array that gives what ``_ranks`` gives for
-    the values' :func:`~xkit.fields._chi2_scores`, the same integers, while
-    evaluating scores only where the pulled-back levels cannot decide: for
-    values within ``_PULL_BRACKET`` of one, or past the pulled ``+-_PULL_LIMIT``
-    (where also every value the scores refuse lies, so it is still refused).
-    The bracket edges are interleaved as ``[tail end, lo_0, hi_0, ...,
-    tail start]``: a value with an odd count ``2t + 1`` of edges at or below
-    it lies between brackets, past ``t`` pulled levels and every level at or
-    below ``-_PULL_LIMIT``; an even count puts it in a bracket or a tail.
+    the values' :func:`~xkit.fields._chi2_scores`, scoring only what the
+    pulled-back levels cannot place (see :func:`~xkit.fields.gaussianise`).
+    A value of rank ``r`` against the levels pulled from inside
+    ``+-_PULL_LIMIT`` is placed unless it lies within ``_PULL_BRACKET`` of
+    ``pulled[r - 1]`` or ``pulled[r]``; past the ends, the levels pulled from
+    ``-+_PULL_LIMIT`` stand in for these neighbours, so every value that the
+    scores refuse, which lies beyond them, is scored and refused.
     """
     inner = levels[np.abs(levels) < _PULL_LIMIT]
     below = np.count_nonzero(levels <= -_PULL_LIMIT)
     pulled = _chi2_quantiles(np.concatenate(([-_PULL_LIMIT], inner, [_PULL_LIMIT])), k)
-    brackets = np.stack([pulled * (1.0 - _PULL_BRACKET), pulled * (1.0 + _PULL_BRACKET)], axis=1)
-    # [tail end, lo_0, hi_0, ..., lo_(m-1), hi_(m-1), tail start], made
-    # nondecreasing for _ranks: brackets overlap where levels pull back to one
-    # value (0 and 1e-17 do), or out of order by rounding
-    edges = np.maximum.accumulate(brackets.ravel()[1:-1])
+    # nondecreasing for _ranks: 0 and 1e-17 pull back to one value, and
+    # neighbouring levels can pull back out of order by rounding
+    pulled = np.maximum.accumulate(pulled)
+    floors = pulled[:-1] * (1.0 + _PULL_BRACKET)  # by rank: placed at or above
+    ceilings = pulled[1:] * (1.0 - _PULL_BRACKET)  # by rank: placed below
     dtype = np.min_scalar_type(levels.size)
 
     def ranks(values: np.ndarray) -> np.ndarray:
-        count = _ranks(values, edges)
-        rank = (count // 2).astype(dtype)  # wraps only where overwritten below
-        rank += dtype.type(below)
-        scored = count % 2 == 0  # in a bracket or a tail
+        rank = _ranks(values, pulled[1:-1]) if inner.size else np.zeros(values.shape, np.uint8)
+        scored = (values < floors.take(rank)) | (values >= ceilings.take(rank))
+        rank = rank.astype(dtype, copy=False) + dtype.type(below)
         rank[scored] = _ranks(_chi2_scores(values[scored], k), levels)
         return rank
 
@@ -355,10 +350,9 @@ def _simulation_average(
 
     A chi-square base's exact CDF is increasing, so its gaussianised field
     is at or above a level where the chi-square draw is at or above the
-    pulled-back level, up to rounding that :func:`_chi2_ranks` settles: each
-    chi-square draw is ranked as it is, with a score only for the few values
-    that rounding could place wrongly.  Other bases are drawn gaussianised and
-    ranked against the levels.
+    pulled-back level, up to rounding (see :func:`~xkit.fields.gaussianise`):
+    each chi-square draw is ranked as it is by :func:`_chi2_ranks`.  Other
+    bases are drawn gaussianised and ranked against the levels.
     """
     levels = np.frombuffer(level_bytes)
     k = model._chi2_k
@@ -394,12 +388,10 @@ def expected_ec_curve(
     Gaussianised models, which have no closed form, use a cached simulation
     average on a ``sim_shape`` lattice.  Over an unstandardised chi-square
     base, whose exact CDF is increasing, each draw's curve is counted on the
-    chi-square draw itself at the levels pulled back through that CDF, so no
-    site is transformed.  The computed transform is not monotone at the
-    rounding scale (see :func:`~xkit.fields.gaussianise`), so a value within
-    1e-8 (relative) of a pulled level is ranked by its own normal score, as
-    are the values past the levels pulled from +-25: the curve is the same
-    integers as that of the gaussianised draws.
+    chi-square draw itself at the levels pulled back through that CDF, and
+    only the values beside a pulled level get their normal scores
+    (:func:`_chi2_ranks`, :func:`~xkit.fields.gaussianise`): the curve is the
+    same integers as that of the gaussianised draws.
     """
     levels = _check_levels(levels)
     dim = domain.dim
@@ -436,6 +428,7 @@ def expected_ec_curve(
     sim_shape = tuple(_whole(n, "each sim_shape entry") for n in sim_shape)
     if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
         raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
+    _check_dim(dim)
     spacings = [domain.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
     if max(spacings) - min(spacings) > 1e-9 * max(spacings):
         raise ValueError(

@@ -63,16 +63,12 @@ def excursion_mask(field: LatticeField, u: float) -> np.ndarray:
     return field.values >= _finite_levels(u, "threshold")
 
 
-def _check_mask(mask: np.ndarray) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype != bool:
-        raise ValueError(f"mask must be boolean, got dtype {mask.dtype}")
-    if not 1 <= mask.ndim <= _MAX_DIM:
+def _check_dim(dim: int) -> None:
+    if not 1 <= dim <= _MAX_DIM:
         raise ValueError(
-            f"unsupported dimension {mask.ndim}: Euler characteristics are "
+            f"unsupported dimension {dim}: Euler characteristics are "
             f"implemented for 1 to {_MAX_DIM} dimensions"
         )
-    return mask
 
 
 def _reduce_along(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -103,7 +99,10 @@ def face_counts(mask: np.ndarray) -> np.ndarray:
 
     A k-face spanning axis subset ``S`` is present when all its corners are.
     """
-    mask = _check_mask(mask)
+    mask = np.asarray(mask)
+    if mask.dtype != bool:
+        raise ValueError(f"mask must be boolean, got dtype {mask.dtype}")
+    _check_dim(mask.ndim)
     counts = np.zeros(mask.ndim + 1, dtype=np.int64)
     for bits, present in _corner_reductions(mask):
         counts[bits.bit_count()] += int(present.sum())
@@ -194,8 +193,6 @@ def _ranks(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
 
 def _rank_curve(ranks: np.ndarray, size: int) -> np.ndarray:
     """The EC at each of ``size`` levels from the sites' level ranks, as int64."""
-    if not 1 <= ranks.ndim <= _MAX_DIM:
-        raise ValueError(f"unsupported dimension {ranks.ndim}")
     faces = np.zeros(size + 1, dtype=np.int64)
     for bits, minima in _corner_reductions(ranks):
         faces += (-1) ** bits.bit_count() * np.bincount(minima.ravel(), minlength=faces.size)
@@ -227,6 +224,7 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     a bound on this bias.
     """
     levels = _check_levels(levels)
+    _check_dim(field.dim)
     chi = _rank_curve(_ranks(field.values, levels), levels.size)
     base_meta = {"shape": "x".join(str(n) for n in field.shape), "spacing": repr(field.spacing)}
     if meta:
@@ -266,8 +264,13 @@ def ec_csv_text(curve: ECCurve) -> str:
     """The CSV serialisation of a curve as a string.
 
     Deterministic (sorted metadata, 17-significant-digit floats), so
-    identical curves serialise to identical bytes.
+    identical curves serialise to identical bytes.  Metadata that would not
+    read back as written, a line break or an ``=`` in a key, is refused.
     """
+    for key, value in curve.meta.items():
+        if "=" in key or "\n" in key + value or "\r" in key + value:
+            raise ValueError(f"curve metadata {key!r} would not read back: "
+                             "it has a line break, or its key an '='")
     lines = [f"# {k}={v}" for k, v in sorted(curve.meta.items())]
     lines.append("u,ec,kind")
     for u, v in zip(curve.levels, curve.values):
@@ -277,8 +280,9 @@ def ec_csv_text(curve: ECCurve) -> str:
 
 def write_ec_csv(curve: ECCurve, path) -> None:
     """Write an EC curve as CSV with `# key=value` metadata comments."""
+    text = ec_csv_text(curve)  # refused before the file is opened
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(ec_csv_text(curve))
+        fh.write(text)
 
 
 def read_ec_csv(path) -> ECCurve:

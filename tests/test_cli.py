@@ -12,7 +12,7 @@ from scipy import stats
 import xkit.expectations as expectations_mod
 from xkit.cli import main, parse_levels, parse_model, parse_shape
 from xkit.expectations import expected_ec_gaussian_rectangle
-from xkit.fields import CovarianceModel, read_field, simulate_model, write_field
+from xkit.fields import CovarianceModel, LatticeField, read_field, simulate_model, write_field
 from xkit.geometry import Rectangle
 from xkit.topology import read_ec_csv
 
@@ -201,6 +201,31 @@ def test_ec_curve_stdout_matches_file(field_file, tmp_path, capsys):
     assert curve.meta["source"] == str(field_file)
     assert curve.meta["levels"] == "-3:3:0.5"
     assert curve.meta["shape"] == "64x64"
+
+
+def test_ec_curve_refuses_a_source_that_would_not_read_back(field_file, tmp_path, capsys):
+    # a path with a line break cannot sit in a CSV comment: a usage error that
+    # names the metadata key, and no curve file left behind
+    odd = tmp_path / "two\nlines.xkf"
+    odd.write_bytes(field_file.read_bytes())
+    out = tmp_path / "curve.csv"
+    code, stdout, err = run_cli(
+        ["ec-curve", "--field", str(odd), "--levels=0:1:0.5", "--out", str(out)], capsys
+    )
+    assert code == 2 and stdout == ""
+    assert "curve metadata 'source'" in err
+    assert not out.exists()
+
+
+def test_ec_curve_refuses_a_four_dimensional_field(tmp_path, capsys):
+    path = tmp_path / "f4.xkf"
+    write_field(LatticeField(values=np.zeros((2, 2, 2, 2)), spacing=0.1), path)
+    code, stdout, err = run_cli(["ec-curve", "--field", str(path), "--levels=0:1:0.5"], capsys)
+    assert code == 2 and stdout == ""
+    assert err == (
+        "error: unsupported dimension 4: Euler characteristics are implemented "
+        "for 1 to 3 dimensions\n"
+    )
 
 
 def test_ec_curve_bad_step_is_usage_error(field_file, capsys):

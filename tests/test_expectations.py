@@ -10,7 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 import xkit.expectations as expectations_mod
 import xkit.fields as fields_mod
@@ -810,6 +810,52 @@ def test_pulled_chi2_ranks_match_the_scores_around_each_pulled_level(k):
     assert np.any(_ranks(values, np.sort(pulled)) != wanted)
 
 
+@pytest.mark.parametrize("k", [1, 5, 20])
+@pytest.mark.parametrize("levels, top", [
+    (np.array([-40.0, -30.0, 30.0, 40.0]), 3),  # no level pulled back
+    (np.linspace(-36.0, 36.0, 255), 255),  # levels past both ends, a uint8 rank of 255
+], ids=["outer", "255"])
+def test_pulled_chi2_ranks_past_the_pull_limit(k, levels, top):
+    # values on a grid of scores to the last finite one and about the values
+    # pulled from +-25, which stand in for the neighbours of the end ranks
+    ends = _chi2_quantiles(np.array([-25.0, 25.0]), k)
+    near = np.concatenate([
+        ends + np.arange(-3000, 3001)[:, None] * np.spacing(ends),
+        ends * (1.0 + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * expectations_mod._PULL_BRACKET),
+    ]).ravel()
+    grid = _chi2_quantiles(np.linspace(-39.0, 39.0, 4001), k)
+    values = np.concatenate([grid, near])
+    values = values[(special.gammainc(k / 2.0, values / 2.0) > 0)
+                    & (special.gammaincc(k / 2.0, values / 2.0) > 0)]  # finite scores
+    wanted = _ranks(_chi2_scores(values, k), levels)
+    got = expectations_mod._chi2_ranks(levels, k)(values)
+    assert got.dtype == wanted.dtype == np.uint8
+    assert got.tobytes() == wanted.tobytes()
+    assert wanted.max() == top
+
+
+def test_pulled_chi2_ranks_score_only_the_values_beside_a_pulled_level(monkeypatch):
+    # a chi-square(5) draw with each pulled level planted in it: the planted
+    # values, and no other, go through the scores
+    k, levels = 5, np.linspace(-4.0, 4.0, 81)
+    cov = CovarianceModel(lambda2=100.0)
+    draw = simulate_model(ChiSquaredModel(k=k, cov=cov), (64, 64), 1 / 63, 11).values.ravel()
+    pulled = _chi2_quantiles(levels, k)
+    values = np.concatenate([draw, pulled])
+    near = np.abs(draw[:, None] / pulled - 1.0) <= 2.0 * expectations_mod._PULL_BRACKET
+    assert not near.any()
+    scored = []
+
+    def counted(v, k):
+        scored.append(v.size)
+        return _chi2_scores(v, k)
+
+    monkeypatch.setattr(expectations_mod, "_chi2_scores", counted)
+    got = expectations_mod._chi2_ranks(levels, k)(values)
+    assert scored == [pulled.size]
+    assert got.tobytes() == _ranks(_chi2_scores(values, k), levels).tobytes()
+
+
 CURVE_EDGE_LEVELS = [-40.0, -38.6, -38.0, -3.0, 0.0, 1e-17, 3.0, 38.0, 40.0]
 
 
@@ -851,6 +897,24 @@ def test_gaussianised_chi2_curve_refuses_what_gaussianise_refuses(monkeypatch, v
     with pytest.raises(ValueError, match=message):
         expected_ec_curve(model, Rectangle((1.6, 1.6)), [-1.0, 0.0, 1.0],
                           sim_shape=(33, 33), sim_reps=1)
+
+
+def test_gaussianised_curve_checks_the_dimension_before_drawing(monkeypatch):
+    # the same rule and message as euler_characteristic, and no field drawn;
+    # the closed-form 4-D Gaussian curve needs no lattice and is kept
+    draws = []
+    real = expectations_mod.simulate_model
+    monkeypatch.setattr(expectations_mod, "simulate_model",
+                        lambda *args: draws.append(args) or real(*args))
+    cov = CovarianceModel(lambda2=10.0)  # a lattice the sampler would resolve
+    cube = Rectangle.cube(1.0, 4)
+    expectations_mod._simulation_average.cache_clear()
+    with pytest.raises(ValueError, match="unsupported dimension 4: Euler characteristics are "
+                                         "implemented for 1 to 3 dimensions"):
+        expected_ec_curve(GaussianisedModel(ChiSquaredModel(k=3, cov=cov)), cube, [0.0, 1.0],
+                          sim_shape=(9, 9, 9, 9), sim_reps=2)
+    assert draws == []
+    assert np.isfinite(expected_ec_curve(GaussianModel(cov=cov), cube, [0.0, 1.0]).values).all()
 
 
 # ---------------------------------------------------------------------------

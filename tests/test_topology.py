@@ -8,11 +8,13 @@ their difference is the Euler characteristic of a planar set.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+import xkit.topology as topology_mod
 from xkit.fields import LatticeField
 from xkit.geometry import Rectangle, rectangle_lkcs
 from xkit.topology import (
@@ -99,6 +101,19 @@ def test_face_counts_rejects_bad_masks():
         face_counts(np.ones((3, 3)))  # not boolean
     with pytest.raises(ValueError):
         face_counts(np.ones((2, 2, 2, 2), dtype=bool))
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2), (2,) * 5])
+def test_ec_curve_refuses_a_dimension_before_ranking(monkeypatch, shape):
+    # the same rule and message as euler_characteristic, and no site ranked
+    calls = []
+    monkeypatch.setattr(topology_mod, "_ranks", lambda *args: calls.append(args))
+    message = f"unsupported dimension {len(shape)}: Euler characteristics are implemented for"
+    with pytest.raises(ValueError, match=message):
+        euler_characteristic(np.ones(shape, dtype=bool))
+    with pytest.raises(ValueError, match=message):
+        ec_curve(LatticeField(values=np.zeros(shape), spacing=0.1), [0.0, 1.0])
+    assert calls == []
 
 
 def test_euler_characteristic_hand_cases():
@@ -452,7 +467,7 @@ def test_csv_round_trip_preserves_everything(tmp_path):
         levels=np.array([-1.0, 0.0, 2.5]),
         values=np.array([3.0, -7.0, 0.0]),
         kind="expected",
-        meta={"model": "gaussian", "lambda2": "200.0"},
+        meta={"model": "gaussian", "lambda2": "200.0", "k": "x=v", "p": "a,b #c"},
     )
     path = tmp_path / "curve.csv"
     write_ec_csv(curve, path)
@@ -461,6 +476,22 @@ def test_csv_round_trip_preserves_everything(tmp_path):
     assert np.array_equal(back.values, curve.values)
     assert back.kind == "expected"
     assert back.meta == curve.meta
+
+
+@pytest.mark.parametrize("meta, key", [
+    ({"note": "a\nb"}, "note"),
+    ({"note": "a\rb"}, "note"),
+    ({"a\nb": "v"}, "a\nb"),
+    ({"model": "gaussian", "k=x": "v"}, "k=x"),
+])
+def test_csv_refuses_metadata_that_would_not_read_back(tmp_path, meta, key):
+    # a line break would split the comment and an '=' in a key would move
+    # into the value; the key is named and no file is left behind
+    curve = ECCurve(levels=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]), meta=meta)
+    path = tmp_path / "curve.csv"
+    with pytest.raises(ValueError, match=f"curve metadata {re.escape(repr(key))}"):
+        write_ec_csv(curve, path)
+    assert not path.exists()
 
 
 def test_csv_serialisation_is_deterministic(tmp_path):
