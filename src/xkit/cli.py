@@ -1,8 +1,9 @@
 """Command-line front end: simulate, measure, evaluate, threshold, identify.
 
 Every run echoes the full parameter set it actually used (``# key=value``
-comment lines on stdout or in the CSV header), so any output can be
-regenerated byte-for-byte from its own metadata.
+comment lines on stdout or in the CSV header, from one writer), so any output
+can be regenerated byte-for-byte from its own metadata; a parameter that a
+line cannot hold as written is a usage error.
 
 Exit codes are a stable scripting contract:
 
@@ -41,7 +42,7 @@ from .fields import (
     write_field,
 )
 from .geometry import Rectangle, _whole
-from .topology import CurveFormatError, ECCurve, ec_csv_text, ec_curve, write_ec_csv
+from .topology import CurveFormatError, ECCurve, _meta_text, ec_csv_text, ec_curve, write_ec_csv
 
 MODEL_HELP = "gaussian | chisq:k | t:k | f:n:m | gchisq:k"
 
@@ -140,11 +141,6 @@ def _covariance_from_args(args) -> CovarianceModel:
     return CovarianceModel(variance=args.variance, lambda2=args.lambda2)
 
 
-def _echo(pairs) -> None:
-    for key, value in pairs:
-        print(f"# {key}={value}")
-
-
 # ---------------------------------------------------------------------------
 # configuration file splicing
 # ---------------------------------------------------------------------------
@@ -201,19 +197,18 @@ def _splice_config(argv: list[str]) -> list[str]:
 def cmd_simulate(args) -> int:
     model = parse_model(args.model, _covariance_from_args(args))
     shape = parse_shape(args.shape)
+    echo = _meta_text([  # refused before a field is drawn or a file written
+        ("model", args.model),
+        ("shape", args.shape),
+        ("spacing", repr(args.spacing)),
+        ("lambda2", repr(model.cov.lambda2)),
+        ("variance", repr(model.cov.variance)),
+        ("seed", str(args.seed)),
+        ("out", args.out),
+    ])
     field = simulate_model(model, shape, args.spacing, args.seed)
     write_field(field, args.out)
-    _echo(
-        [
-            ("model", args.model),
-            ("shape", args.shape),
-            ("spacing", repr(args.spacing)),
-            ("lambda2", repr(model.cov.lambda2)),
-            ("variance", repr(model.cov.variance)),
-            ("seed", args.seed),
-            ("out", args.out),
-        ]
-    )
+    sys.stdout.write(echo)
     v = field.values
     print(
         f"mean={v.mean():.17g} variance={v.var():.17g} "
@@ -260,14 +255,12 @@ def cmd_threshold(args) -> int:
     domain = _domain_from_args(args)
     model = parse_model(args.model, _covariance_from_args(args))
     result = threshold(model, domain, args.alpha)
-    _echo(
-        [
-            ("model", args.model),
-            ("domain", "x".join(repr(s) for s in domain.sides)),
-            ("lambda2", repr(model.cov.lambda2)),
-            ("variance", repr(model.cov.variance)),
-        ]
-    )
+    sys.stdout.write(_meta_text([
+        ("model", args.model),
+        ("domain", "x".join(repr(s) for s in domain.sides)),
+        ("lambda2", repr(model.cov.lambda2)),
+        ("variance", repr(model.cov.variance)),
+    ]))
     sys.stdout.write(result.as_text())
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
@@ -288,6 +281,14 @@ def cmd_identify(args) -> int:
     if not tokens:
         raise ValueError("candidate list is empty")
     candidates = [parse_model(t, cov) for t in tokens]
+    echo = _meta_text([  # refused before the candidates are scored
+        ("field", str(args.field)),
+        ("levels", args.levels),
+        ("candidates", args.candidates),
+        ("moments", "estimated" if args.estimate_moments else f"lambda2={args.lambda2!r}"),
+        ("variance", repr(cov.variance)),
+        ("sim_reps", str(args.sim_reps)),
+    ])
     ranked = identify_model(
         empirical,
         candidates,
@@ -296,17 +297,7 @@ def cmd_identify(args) -> int:
         sim_reps=args.sim_reps,
         jobs=_resolve_jobs(args),
     )
-    _echo(
-        [
-            ("field", str(args.field)),
-            ("levels", args.levels),
-            ("candidates", args.candidates),
-            (
-                "moments",
-                "estimated" if args.estimate_moments else f"lambda2={args.lambda2!r}",
-            ),
-        ]
-    )
+    sys.stdout.write(echo)
     print("model discrepancy")
     for model, discrepancy in ranked:
         print(f"{model.name} {discrepancy:.17g}")

@@ -260,22 +260,31 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _meta_text(pairs) -> str:
+    """``# key=value`` lines, in order: the one writer for CSV headers and CLI echoes.
+
+    Refuses by key a pair that :func:`read_ec_csv` would not return as written."""
+    lines = []
+    for key, value in pairs:
+        if ("=" in key or key != key.strip() or value != value.rstrip()
+                or "\n" in key + value or "\r" in key + value):
+            raise ValueError(f"curve metadata {key!r} would not read back: it has a line "
+                             "break, an '=' in its key, or whitespace at an end")
+        lines.append(f"# {key}={value}\n")
+    return "".join(lines)
+
+
 def ec_csv_text(curve: ECCurve) -> str:
     """The CSV serialisation of a curve as a string.
 
     Deterministic (sorted metadata, 17-significant-digit floats), so
     identical curves serialise to identical bytes.  Metadata that would not
-    read back as written, a line break or an ``=`` in a key, is refused.
+    read back as written is refused (:func:`_meta_text`).
     """
-    for key, value in curve.meta.items():
-        if "=" in key or "\n" in key + value or "\r" in key + value:
-            raise ValueError(f"curve metadata {key!r} would not read back: "
-                             "it has a line break, or its key an '='")
-    lines = [f"# {k}={v}" for k, v in sorted(curve.meta.items())]
-    lines.append("u,ec,kind")
+    lines = ["u,ec,kind"]
     for u, v in zip(curve.levels, curve.values):
         lines.append(f"{_fmt(u)},{_fmt(v)},{curve.kind}")
-    return "\n".join(lines) + "\n"
+    return _meta_text(sorted(curve.meta.items())) + "\n".join(lines) + "\n"
 
 
 def write_ec_csv(curve: ECCurve, path) -> None:

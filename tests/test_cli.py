@@ -12,7 +12,14 @@ from scipy import stats
 import xkit.expectations as expectations_mod
 from xkit.cli import main, parse_levels, parse_model, parse_shape
 from xkit.expectations import expected_ec_gaussian_rectangle
-from xkit.fields import CovarianceModel, LatticeField, read_field, simulate_model, write_field
+from xkit.fields import (
+    CovarianceModel,
+    LatticeField,
+    estimate_spectral_moments,
+    read_field,
+    simulate_model,
+    write_field,
+)
 from xkit.geometry import Rectangle
 from xkit.topology import read_ec_csv
 
@@ -155,6 +162,17 @@ def test_simulate_unwritable_path_is_data_error(tmp_path, capsys):
     argv = SIM_ARGS + ["--out", str(tmp_path / "no" / "such" / "dir" / "f.xkf")]
     code, _, err = run_cli(argv, capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("flag, value", [("--out", "two\nlines.xkf"), ("--model", "chisq:5\n")])
+def test_simulate_refuses_an_echo_that_would_not_read_back(tmp_path, capsys, flag, value):
+    # the echo is checked before a field is drawn: a usage error, no file left
+    argv = SIM_ARGS + ["--out", str(tmp_path / "f.xkf")]
+    argv[argv.index(flag) + 1] = str(tmp_path / value) if flag == "--out" else value
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert f"curve metadata {flag[2:]!r} would not read back" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +616,42 @@ def test_identify_candidate_list_errors(gaussian_field_file, capsys):
     )
     assert code == 2
     assert "unknown model" in err
+
+
+@pytest.mark.parametrize("flag", ["--field", "--levels"])
+def test_identify_refuses_an_echo_that_would_not_read_back(
+    gaussian_field_file, tmp_path, capsys, flag
+):
+    odd = tmp_path / "two\nlines.xkf"
+    odd.write_bytes(gaussian_field_file.read_bytes())
+    argv = ["identify", "--field", str(gaussian_field_file), "--levels=-2:2:0.5",
+            "--candidates", "gaussian", "--lambda2", "200"]
+    if flag == "--field":
+        argv[2] = str(odd)
+    else:
+        argv[3] = "--levels=-2:2\n:0.5"
+    code, stdout, err = run_cli(argv, capsys)
+    assert code == 2 and stdout == ""
+    assert f"curve metadata {flag[2:]!r} would not read back" in err
+
+
+def test_identify_echoes_the_variance_and_realisations_it_used(gaussian_field_file, capsys):
+    # both change the discrepancies, so both are in the echo; under
+    # --estimate-moments the variance is the estimate
+    base = ["identify", "--field", str(gaussian_field_file), "--levels=-2:2:0.5",
+            "--candidates", "gaussian"]
+
+    def echo(*extra):
+        code, stdout, _ = run_cli(base + list(extra), capsys)
+        assert code == 0
+        return [ln for ln in stdout.split("\n") if ln.startswith("#")]
+
+    plain = echo("--lambda2", "200")
+    assert plain[-2:] == ["# variance=1.0", "# sim_reps=20"]
+    assert echo("--lambda2", "200", "--sim-reps", "3") != plain
+    assert echo("--lambda2", "200", "--variance", "2") != plain
+    _, variance = estimate_spectral_moments(read_field(gaussian_field_file))
+    assert f"# variance={variance!r}" in echo("--estimate-moments")
 
 
 def test_identify_moment_flags_are_exclusive(gaussian_field_file, capsys):

@@ -467,7 +467,8 @@ def test_csv_round_trip_preserves_everything(tmp_path):
         levels=np.array([-1.0, 0.0, 2.5]),
         values=np.array([3.0, -7.0, 0.0]),
         kind="expected",
-        meta={"model": "gaussian", "lambda2": "200.0", "k": "x=v", "p": "a,b #c"},
+        meta={"model": "gaussian", "lambda2": "200.0", "k": "x=v", "p": "a,b #c",
+              "note": "  # a,b=c  ünï \u2028 日本"},
     )
     path = tmp_path / "curve.csv"
     write_ec_csv(curve, path)
@@ -483,10 +484,15 @@ def test_csv_round_trip_preserves_everything(tmp_path):
     ({"note": "a\rb"}, "note"),
     ({"a\nb": "v"}, "a\nb"),
     ({"model": "gaussian", "k=x": "v"}, "k=x"),
+    ({" k": "v"}, " k"),
+    ({"k ": "v"}, "k "),
+    ({"note": "v "}, "note"),
+    ({"note": "v\t"}, "note"),
 ])
 def test_csv_refuses_metadata_that_would_not_read_back(tmp_path, meta, key):
-    # a line break would split the comment and an '=' in a key would move
-    # into the value; the key is named and no file is left behind
+    # a line break would split the comment, an '=' in a key would move into
+    # the value, and the reader strips a key's ends and a value's tail; the
+    # key is named and no file is left behind
     curve = ECCurve(levels=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]), meta=meta)
     path = tmp_path / "curve.csv"
     with pytest.raises(ValueError, match=f"curve metadata {re.escape(repr(key))}"):
