@@ -37,6 +37,7 @@ simulation is bit-reproducible from ``(model, shape, spacing, seed)``.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import struct
 import warnings
@@ -631,8 +632,9 @@ def estimate_spectral_moments(field: LatticeField) -> tuple[np.ndarray, float]:
         raise ValueError(
             f"spectral-moment estimation needs >= 3 points per axis, got {values.shape}"
         )
-    interior = tuple(slice(1, -1) for _ in range(dim))
-    derivs = []
+    # the derivatives share one stack and the products one buffer: the same
+    # operations in the same order as separate arrays, so the same bits
+    derivs = np.empty((dim, *(n - 2 for n in values.shape)))
     for axis in range(dim):
         fwd = tuple(
             slice(2, None) if a == axis else slice(1, -1) for a in range(dim)
@@ -640,14 +642,17 @@ def estimate_spectral_moments(field: LatticeField) -> tuple[np.ndarray, float]:
         bwd = tuple(
             slice(0, -2) if a == axis else slice(1, -1) for a in range(dim)
         )
-        derivs.append((values[fwd] - values[bwd]) / (2.0 * field.spacing))
+        np.subtract(values[fwd], values[bwd], out=derivs[axis])
+        derivs[axis] /= 2.0 * field.spacing
     sigma2 = float(np.var(values))
     if sigma2 == 0.0:
         raise ValueError("cannot estimate spectral moments of a constant field")
     lam = np.empty((dim, dim))
+    product = np.empty(derivs.shape[1:])
     for i in range(dim):
         for j in range(i, dim):
-            lam[i, j] = lam[j, i] = float(np.mean(derivs[i] * derivs[j])) / sigma2
+            np.multiply(derivs[i], derivs[j], out=product)
+            lam[i, j] = lam[j, i] = float(np.mean(product)) / sigma2
     return lam, sigma2
 
 
@@ -673,30 +678,37 @@ def write_field(field: LatticeField, path) -> None:
 
 
 def read_field(path) -> LatticeField:
-    """Read a field written by :func:`write_field`, validating the layout."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8 or raw[:4] != FIELD_MAGIC:
-        raise FieldFormatError(f"{path}: not a lattice-field file (bad magic)")
-    (dim,) = struct.unpack_from("<I", raw, 4)
-    if dim < 1 or dim > 64:
-        raise FieldFormatError(f"{path}: implausible dimension {dim}")
-    header = 8 + 4 * dim + 8
-    if len(raw) < header:
-        raise FieldFormatError(f"{path}: truncated header")
-    shape = struct.unpack_from(f"<{dim}I", raw, 8)
-    (spacing,) = struct.unpack_from("<d", raw, 8 + 4 * dim)
-    count = int(np.prod(shape, dtype=np.int64))
-    if count <= 0:
-        raise FieldFormatError(f"{path}: empty grid {shape}")
-    expected = header + 8 * count
-    if len(raw) != expected:
-        raise FieldFormatError(
-            f"{path}: payload size {len(raw) - header} bytes does not match "
-            f"grid {shape} ({8 * count} bytes expected)"
-        )
-    values = np.frombuffer(raw, dtype="<f8", count=count, offset=header)
+    """Read a field written by :func:`write_field`, validating the layout.
+
+    The payload is read straight into the returned array, made only once the
+    file's size matches the header's grid."""
+    with open(path, "rb") as source:
+        # a pipe is held in memory, so that its size is known before the array is made
+        fh = source if source.seekable() else io.BytesIO(source.read())
+        head = fh.read(8)
+        if len(head) < 8 or head[:4] != FIELD_MAGIC:
+            raise FieldFormatError(f"{path}: not a lattice-field file (bad magic)")
+        (dim,) = struct.unpack_from("<I", head, 4)
+        if dim < 1 or dim > 64:
+            raise FieldFormatError(f"{path}: implausible dimension {dim}")
+        header = fh.read(4 * dim + 8)
+        if len(header) < 4 * dim + 8:
+            raise FieldFormatError(f"{path}: truncated header")
+        shape = struct.unpack_from(f"<{dim}I", header)
+        (spacing,) = struct.unpack_from("<d", header, 4 * dim)
+        count = math.prod(shape)
+        if count <= 0:
+            raise FieldFormatError(f"{path}: empty grid {shape}")
+        payload = fh.seek(0, 2) - fh.seek(16 + 4 * dim)  # the file's size less the header
+        if payload == 8 * count:
+            values = np.empty(shape, dtype="<f8")
+            payload = fh.readinto(values) + len(fh.read())  # as read, should the file change
+        if payload != 8 * count:
+            raise FieldFormatError(
+                f"{path}: payload size {payload} bytes does not match "
+                f"grid {shape} ({8 * count} bytes expected)"
+            )
     try:
-        return LatticeField(values=values.reshape(shape).astype(float), spacing=spacing)
+        return LatticeField(values=values, spacing=spacing)
     except ValueError as exc:
         raise FieldFormatError(f"{path}: {exc}") from exc

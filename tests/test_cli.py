@@ -235,6 +235,20 @@ def test_ec_curve_refuses_a_source_that_would_not_read_back(field_file, tmp_path
     assert not out.exists()
 
 
+def test_ec_curve_refuses_a_source_utf8_cannot_encode(field_file, tmp_path, capsys):
+    # a non-UTF-8 byte in a path arrives as a lone surrogate, which the UTF-8
+    # CSV cannot hold: refused by key before the curve file is opened
+    odd = tmp_path / "g\udcff.xkf"
+    odd.write_bytes(field_file.read_bytes())
+    out = tmp_path / "curve.csv"
+    code, stdout, err = run_cli(
+        ["ec-curve", "--field", str(odd), "--levels=0:1:0.5", "--out", str(out)], capsys
+    )
+    assert code == 2 and stdout == ""
+    assert "curve metadata 'source' would not read back" in err
+    assert not out.exists()
+
+
 def test_ec_curve_refuses_a_four_dimensional_field(tmp_path, capsys):
     path = tmp_path / "f4.xkf"
     write_field(LatticeField(values=np.zeros((2, 2, 2, 2)), spacing=0.1), path)

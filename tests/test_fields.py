@@ -6,7 +6,9 @@ moments, marginal laws) come straight from the covariance model.
 """
 
 import math
+import os
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -763,6 +765,25 @@ def test_estimate_spectral_moments_simulated_field():
     assert lam[0, 1] == lam[1, 0]
 
 
+def test_estimate_spectral_moments_keep_the_bits_of_the_plain_formula():
+    # np.mean(d_i * d_j) / np.var(f) with d = (fwd - bwd) / (2 h), written out
+    # here; a BLAS or einsum rewrite would move the last digit that identify prints
+    rng = np.random.default_rng(25)
+    for shape, spacing in [((200,), 0.03), ((40, 33), 0.0123), ((12, 9, 17), 1 / 7)]:
+        values = rng.standard_normal(shape) + 0.3
+        dim, inner = len(shape), (slice(1, -1),) * len(shape)
+        derivs = [
+            (values[inner[:a] + (slice(2, None),) + inner[a + 1:]]
+             - values[inner[:a] + (slice(0, -2),) + inner[a + 1:]]) / (2.0 * spacing)
+            for a in range(dim)
+        ]
+        sigma2 = float(np.var(values))
+        want = np.array([[float(np.mean(derivs[i] * derivs[j])) / sigma2 for j in range(dim)]
+                         for i in range(dim)])
+        lam, got_sigma2 = estimate_spectral_moments(LatticeField(values=values, spacing=spacing))
+        assert np.array_equal(lam, want) and got_sigma2 == sigma2, shape
+
+
 def test_estimate_spectral_moments_guards():
     with pytest.raises(ValueError):
         estimate_spectral_moments(LatticeField(values=np.ones((2, 5)), spacing=0.1))
@@ -796,6 +817,58 @@ def test_field_file_size_arithmetic(tmp_path):
     write_field(f, path)
     header = 4 + 4 + 4 * 2 + 8
     assert path.stat().st_size == header + 8 * 16 * 8
+
+
+def test_read_field_returns_its_own_writable_array(tmp_path):
+    # the payload is read straight into the array returned: float64, C order,
+    # writable and owning its memory, not a read-only view of a byte buffer
+    f = _arbitrary_field((5, 7, 3))
+    path = tmp_path / "field.xkf"
+    write_field(f, path)
+    values = read_field(path).values
+    assert values.dtype == np.float64 and values.flags.c_contiguous
+    assert values.flags.writeable and values.flags.owndata
+    assert values.tobytes() == f.values.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(128, 128, 128), (2**32 - 1,) * 3])
+def test_read_field_refuses_a_huge_grid_before_allocating_it(tmp_path, shape):
+    # a header announcing 16 MB, or more sites than an int64 counts, over an
+    # 8-byte payload is refused on the file's size before any payload-sized
+    # allocation
+    path = tmp_path / "huge.xkf"
+    path.write_bytes(b"XKF1" + struct.pack("<4I", 3, *shape) + struct.pack("<dd", 0.1, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FieldFormatError, match="payload size 8 bytes does not match"):
+            read_field(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_read_field_reads_and_refuses_through_a_pipe(tmp_path):
+    # a pipe has no size to check up front: it is read whole before the array
+    # is made, so a huge header over a short payload is still refused by name
+    good = tmp_path / "good.xkf"
+    write_field(_arbitrary_field((6, 5)), good)
+    huge = b"XKF1" + struct.pack("<4I", 3, 2048, 2048, 2048) + struct.pack("<dd", 0.1, 0.0)
+    for data in (good.read_bytes(), huge):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            if data is huge:
+                with pytest.raises(FieldFormatError, match="payload size 8 bytes does not match"):
+                    read_field(fifo)
+            else:
+                assert read_field(fifo).values.tobytes() == read_field(good).values.tobytes()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        fifo.unlink()
 
 
 def test_field_file_rejects_malformed_inputs(tmp_path):

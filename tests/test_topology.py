@@ -250,6 +250,54 @@ def test_ec_curve_ranks_any_increasing_levels():
     assert rank.dtype == np.uint32  # the last case's 70,000 levels
 
 
+def _even_shape(sites, dim):
+    """A ``dim``-axis shape of exactly ``sites`` sites, its axes as even as the factors allow."""
+    factors, d = [], 2
+    while d * d <= sites:
+        while sites % d == 0:
+            factors.append(d)
+            sites //= d
+        d += 1
+    shape = [1] * dim
+    for p in sorted(factors + [sites] * (sites > 1), reverse=True):
+        shape[shape.index(min(shape))] *= p
+    return tuple(shape)
+
+
+def test_ranks_and_curves_are_exact_across_block_boundaries():
+    # The sites are ranked and their face histograms counted _BLOCK at a time:
+    # a partial last block, a block that ends on the last site and several
+    # blocks must each give searchsorted's ranks and the per-level recount.
+    # The 255 levels end in 32 that share a bucket, so their rank search
+    # looks past index 255 in a wider type than the uint8 ranks it returns.
+    block = topology_mod._BLOCK
+    rng = np.random.default_rng(25)
+    level_sets = [
+        np.linspace(-2.5, 2.5, 21),
+        np.concatenate([[-1.0], 0.25 + np.arange(24) * 1e-4, [1.5]]),
+        np.append(np.linspace(-3.0, -0.1, 223), np.linspace(0.0, 1e-3, 32)),
+    ]
+    for sites in (block - 1, block, block + 1, 3 * block + 7):
+        for dim in (1, 2, 3):
+            shape = _even_shape(sites, dim)
+            values = rng.standard_normal(shape)
+            pick = rng.integers(0, 3, shape)  # a third each among the two clusters
+            values[pick == 1] = 0.25 + rng.uniform(-2e-4, 2.5e-3, np.count_nonzero(pick == 1))
+            values[pick == 2] = rng.uniform(-1e-4, 1.1e-3, np.count_nonzero(pick == 2))
+            f = LatticeField(values=values, spacing=0.1)
+            for levels in level_sets:
+                rank = _ranks(values, levels)
+                assert rank.dtype == np.min_scalar_type(levels.size)
+                assert np.array_equal(rank, np.searchsorted(levels, values, side="right"))
+                got = ec_curve(f, levels).values.tolist()
+                assert got == list(_recount(f, levels)), (shape, levels.size)
+    view = values.T  # the last field transposed: not contiguous, ranked in its own order
+    assert not view.flags.c_contiguous
+    assert np.array_equal(_ranks(view, levels), np.searchsorted(levels, view, side="right"))
+    g = LatticeField(values=view, spacing=0.1)
+    assert ec_curve(g, levels).values.tolist() == list(_recount(g, levels))
+
+
 def test_ec_curve_endpoints():
     rng = np.random.default_rng(4)
     f = LatticeField(values=rng.standard_normal((16, 16, 4)), spacing=0.1)
@@ -488,11 +536,14 @@ def test_csv_round_trip_preserves_everything(tmp_path):
     ({"k ": "v"}, "k "),
     ({"note": "v "}, "note"),
     ({"note": "v\t"}, "note"),
+    ({"note": "a\udcffb"}, "note"),
+    ({"k\udcff": "v"}, "k\udcff"),
 ])
 def test_csv_refuses_metadata_that_would_not_read_back(tmp_path, meta, key):
     # a line break would split the comment, an '=' in a key would move into
-    # the value, and the reader strips a key's ends and a value's tail; the
-    # key is named and no file is left behind
+    # the value, the reader strips a key's ends and a value's tail, and UTF-8
+    # cannot encode a lone surrogate (a non-UTF-8 byte of a path); the key is
+    # named and no file is left behind
     curve = ECCurve(levels=np.array([0.0, 1.0]), values=np.array([1.0, 0.0]), meta=meta)
     path = tmp_path / "curve.csv"
     with pytest.raises(ValueError, match=f"curve metadata {re.escape(repr(key))}"):
