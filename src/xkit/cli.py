@@ -95,7 +95,7 @@ def parse_levels(spec: str) -> np.ndarray:
         raise ValueError(f"level grid {spec!r} is empty (hi < lo)")
     try:
         return np.arange(lo, hi + 0.5 * step, step)
-    except ValueError as exc:  # numpy cannot size the grid
+    except (ValueError, MemoryError) as exc:  # numpy cannot size or allocate the grid
         raise ValueError(f"--levels grid {spec!r} has too many levels ({exc})") from exc
 
 

@@ -21,7 +21,10 @@ empirical EC curve against candidate models.
 Expected curves for gaussianised models have no closed form; they are
 produced by averaging simulated curves under a fixed internal seed schedule
 (decoupled from any user data seed), summed in realisation order over a
-thread pool, and held in a bounded ``functools.lru_cache``.  Tail
+thread pool, and held in a bounded ``functools.lru_cache``.  Over a
+chi-square base with its exact CDF, each draw is counted at the levels
+pulled back through that CDF: the same excursion sets as the gaussianised
+draw's, up to the rounding of one pulled level per level.  Tail
 probabilities and thresholds need the closed form and refuse these models.
 """
 
@@ -292,47 +295,6 @@ class _Workers:
     count: int = field(compare=False)
 
 
-# A chi-square value within this relative distance of a pulled level is ranked
-# by its own normal score: pulled levels are exact only to rounding, and the
-# computed score is not monotone at that scale (see fields.gaussianise).
-_PULL_BRACKET = 1e-8
-# Levels beyond +-25 are not pulled back: the chi-square(1) lower quantile, about
-# Phi(u)^2, turns subnormal below u = -26, where a relative bracket has no room.
-_PULL_LIMIT = 25.0
-
-
-def _chi2_ranks(levels: np.ndarray, k: int):
-    """The ranks of chi-square(``k``) values against ``levels`` of their normal scores.
-
-    Returns a function of a value array that gives what ``_ranks`` gives for
-    the values' :func:`~xkit.fields._chi2_scores`, scoring only what the
-    pulled-back levels cannot place (see :func:`~xkit.fields.gaussianise`).
-    A value of rank ``r`` against the levels pulled from inside
-    ``+-_PULL_LIMIT`` is placed unless it lies within ``_PULL_BRACKET`` of
-    ``pulled[r - 1]`` or ``pulled[r]``; past the ends, the levels pulled from
-    ``-+_PULL_LIMIT`` stand in for these neighbours, so every value that the
-    scores refuse, which lies beyond them, is scored and refused.
-    """
-    inner = levels[np.abs(levels) < _PULL_LIMIT]
-    below = np.count_nonzero(levels <= -_PULL_LIMIT)
-    pulled = _chi2_quantiles(np.concatenate(([-_PULL_LIMIT], inner, [_PULL_LIMIT])), k)
-    # nondecreasing for _ranks: 0 and 1e-17 pull back to one value, and
-    # neighbouring levels can pull back out of order by rounding
-    pulled = np.maximum.accumulate(pulled)
-    floors = pulled[:-1] * (1.0 + _PULL_BRACKET)  # by rank: placed at or above
-    ceilings = pulled[1:] * (1.0 - _PULL_BRACKET)  # by rank: placed below
-    dtype = np.min_scalar_type(levels.size)
-
-    def ranks(values: np.ndarray) -> np.ndarray:
-        rank = _ranks(values, pulled[1:-1]) if inner.size else np.zeros(values.shape, np.uint8)
-        scored = (values < floors.take(rank)) | (values >= ceilings.take(rank))
-        rank = rank.astype(dtype, copy=False) + dtype.type(below)
-        rank[scored] = _ranks(_chi2_scores(values[scored], k), levels)
-        return rank
-
-    return ranks
-
-
 # Keyed on the raw bytes of the level array, so callers that vary the levels or
 # the roughness add a key per request; the bound keeps that memory fixed.  The
 # worker count is not part of the key: EC values are integers, so every partial
@@ -348,22 +310,27 @@ def _simulation_average(
 ) -> np.ndarray:
     """The mean EC curve over ``reps`` draws of the internal seed schedule.
 
-    A chi-square base's exact CDF is increasing, so its gaussianised field
-    is at or above a level where the chi-square draw is at or above the
-    pulled-back level, up to rounding (see :func:`~xkit.fields.gaussianise`):
-    each chi-square draw is ranked as it is by :func:`_chi2_ranks`.  Other
-    bases are drawn gaussianised and ranked against the levels.
+    A chi-square base's exact CDF is increasing, so each chi-square draw is
+    counted at the levels pulled back through it: the gaussianised draw's
+    excursion sets, up to the rounding of one pulled level per level (see
+    :func:`~xkit.fields.gaussianise`).  Other bases are drawn gaussianised.
     """
     levels = np.frombuffer(level_bytes)
     k = model._chi2_k
-    if k is None:
-        base, rank = model, functools.partial(_ranks, levels=levels)
-    else:
-        base, rank = model.base, _chi2_ranks(levels, k)
+    counted, at = model, levels
+    if k is not None:
+        # nondecreasing for _ranks: 0 and 1e-17 pull back to one value, and
+        # neighbouring levels can pull back out of order by rounding
+        pulled = np.maximum.accumulate(_chi2_quantiles(levels, k))
+        counted, at = model.base, pulled[pulled < np.inf]  # no finite draw reaches inf
 
     def one(rep: int) -> np.ndarray:
-        f = simulate_model(base, sim_shape, spacing, component_seed(_CURVE_SEED_BASE, rep))
-        return _rank_curve(rank(f.values), levels.size)
+        seed = component_seed(_CURVE_SEED_BASE, rep)
+        values = simulate_model(counted, sim_shape, spacing, seed).values
+        if k is not None:  # a value gaussianise refuses is a draw's minimum or maximum
+            _chi2_scores(np.array([values.min(), values.max()]), k)
+        ranks = _ranks(values, at) if at.size else np.zeros(values.shape, np.uint8)
+        return _rank_curve(ranks, levels.size)
 
     with ThreadPoolExecutor(max_workers=workers.count) as pool:
         return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
@@ -388,10 +355,10 @@ def expected_ec_curve(
     Gaussianised models, which have no closed form, use a cached simulation
     average on a ``sim_shape`` lattice.  Over an unstandardised chi-square
     base, whose exact CDF is increasing, each draw's curve is counted on the
-    chi-square draw itself at the levels pulled back through that CDF, and
-    only the values beside a pulled level get their normal scores
-    (:func:`_chi2_ranks`, :func:`~xkit.fields.gaussianise`): the curve is the
-    same integers as that of the gaussianised draws.
+    chi-square draw itself at the levels pulled back through that CDF
+    (:func:`_simulation_average`, :func:`~xkit.fields.gaussianise`): the
+    same excursion sets as the gaussianised draw's, up to the rounding of
+    one pulled level per level.
     """
     levels = _check_levels(levels)
     dim = domain.dim

@@ -286,8 +286,9 @@ class GaussianisedModel:
     other base (a standardised chi-square too) the empirical transform.  The
     result has standard normal marginals but keeps the spatial dependence of
     the base field.  With the exact CDF, an increasing transform, an expected
-    EC curve is counted on the chi-square draws at pulled-back levels (see
-    :func:`xkit.expectations.expected_ec_curve`).
+    EC curve is counted on the chi-square draws at pulled-back levels: the
+    same excursion sets, up to the rounding of one pulled level per level
+    (see :func:`xkit.expectations.expected_ec_curve`).
     """
 
     base: "FieldModel"
@@ -556,8 +557,9 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
     chi-square values of 81 levels in [-4, 4] (k = 1, 2, 3, 5, 9, 20) they step
     back 179,006 times, by up to 1.8e-14; for levels in [-25, 25] and k up to
     1000, values up to 3.4e-13 (relative) from a level's chi-square value
-    score on its wrong side.  That is why a curve counted at pulled-back
-    levels ranks values near one by their own scores.
+    score on its wrong side.  So a curve counted at pulled-back levels has
+    the same excursion sets as one counted on the scores, up to the rounding
+    of one pulled level per level.
     """
     values = field.values
     if mode == "empirical":
@@ -633,7 +635,9 @@ def estimate_spectral_moments(field: LatticeField) -> tuple[np.ndarray, float]:
             f"spectral-moment estimation needs >= 3 points per axis, got {values.shape}"
         )
     # the derivatives share one stack and the products one buffer: the same
-    # operations in the same order as separate arrays, so the same bits
+    # operations in the same order as separate arrays, so the same bits.
+    # Separate arrays go back to the system at each return, and a 64^3 call
+    # then faults in about 1,400 fresh pages (ru_minflt), against none
     derivs = np.empty((dim, *(n - 2 for n in values.shape)))
     for axis in range(dim):
         fwd = tuple(

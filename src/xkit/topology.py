@@ -162,8 +162,9 @@ class ECCurve:
 def _ranks(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     """The number of ``levels`` at or below each of the finite ``values``.
 
-    ``np.searchsorted(levels, values, side="right")`` for strictly increasing
-    levels, as ``np.min_scalar_type(levels.size)``, without a sort.  One map,
+    ``np.searchsorted(levels, values, side="right")`` for nondecreasing levels
+    (equal ones included), as ``np.min_scalar_type(levels.size)``, without a
+    sort.  One map,
     ``trunc(clip((x - levels[0]) * scale, 0, 2 * levels.size))``, puts levels
     and values into buckets.  A rounded subtraction, a product with a positive
     constant, a clip and a truncation each keep order, so whatever the scale,

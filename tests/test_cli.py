@@ -285,6 +285,20 @@ def test_eec_non_finite_or_oversized_level_grid_names_the_flag(capsys):
         assert f"--levels grid {grid!r}" in err and reason in err, err
 
 
+def test_a_level_grid_too_large_to_allocate_is_a_usage_error(field_file, capsys):
+    # 1e15 + 1 levels, 8 PB: more than a 48-bit address space can map, so
+    # the allocation fails at once and touches no memory
+    grid = "0:1e15:1"
+    for argv in (
+        ["eec", "--model", "gaussian", "--lambda2", "100", "--cube", "1", "--dim", "2"],
+        ["ec-curve", "--field", str(field_file)],
+        ["identify", "--field", str(field_file), "--estimate-moments", "--candidates", "gaussian"],
+    ):
+        code, stdout, err = run_cli(argv + [f"--levels={grid}"], capsys)
+        assert code == 2 and stdout == "", (argv[0], err)
+        assert f"--levels grid {grid!r} has too many levels" in err, err
+
+
 def test_ec_curve_malformed_field_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.xkf"
     bad.write_bytes(b"not a field at all")

@@ -790,60 +790,85 @@ def test_gaussianised_curve_cache_tells_standardized_chi_square_apart():
     cache.cache_clear()
 
 
+def _planted_curve(monkeypatch, k, levels, values):
+    """Count one gaussianised chi-square(``k``) draw whose chi-square values
+    are ``values`` and check it against the rule: a value counts at each level
+    whose running-maximum pulled level is at or below it.
+
+    The values are shuffled with a fixed seed and repeated to fill a
+    64-column lattice, so each site's rank moves the curve.  Returns the
+    lattice and its ranks by the rule."""
+    shuffled = np.random.default_rng(7).permutation(np.ravel(values))
+    planted = np.resize(shuffled, (-(-shuffled.size // 64), 64))
+    monkeypatch.setattr(fields_mod, "_sum_of_squares", lambda *args: planted.copy())
+    counted, real = [], expectations_mod._rank_curve
+    monkeypatch.setattr(expectations_mod, "_rank_curve",
+                        lambda ranks, size: counted.append(ranks) or real(ranks, size))
+    model = GaussianisedModel(ChiSquaredModel(k=k, cov=CovarianceModel(lambda2=100.0)))
+    rect = Rectangle(tuple((n - 1) / 63 for n in planted.shape))
+    expectations_mod._simulation_average.cache_clear()
+    curve = expected_ec_curve(model, rect, levels, sim_shape=planted.shape, sim_reps=1)
+    expectations_mod._simulation_average.cache_clear()
+    wanted = np.searchsorted(np.maximum.accumulate(_chi2_quantiles(levels, k)), planted, side="right")
+    (ranks,) = counted
+    assert ranks.dtype == np.min_scalar_type(levels.size)
+    assert np.array_equal(ranks, wanted)
+    assert curve.values.tobytes() == real(wanted, levels.size).astype(float).tobytes()
+    return planted, wanted
+
+
 @pytest.mark.parametrize("k", [1, 5, 20])
-def test_pulled_chi2_ranks_match_the_scores_around_each_pulled_level(k):
-    # values on each pulled level, within +-3000 ULPs of it and about the
-    # bracket's edges rank as their own normal scores do.  Beside 81 levels
-    # are 1e-17, which pulls back to the value of 0, and each level's upper
-    # neighbour that pulls back below that level's value
+def test_pulled_chi2_ranks_match_the_scores_around_each_pulled_level(monkeypatch, k):
+    # values on each pulled level and within +-3000 ULPs of it count at the
+    # running maximum of the pulled levels, whatever their computed scores.
+    # Beside 81 levels are 1e-17, which pulls back to the value of 0, and each
+    # level's upper neighbour that pulls back below that level's value
     levels = np.linspace(-4.0, 4.0, 81)
     close = np.nextafter(levels, np.inf)
     flipped = close[_chi2_quantiles(close, k) < _chi2_quantiles(levels, k)]
     levels = np.union1d(levels, np.append(flipped, 1e-17))
     pulled = _chi2_quantiles(levels, k)
-    ulps = np.arange(-3000, 3001)[:, None] * np.spacing(pulled)
-    edges = np.array([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0])[:, None] * expectations_mod._PULL_BRACKET
-    values = np.concatenate([pulled + ulps, pulled * (1.0 + edges)])
-    wanted = _ranks(_chi2_scores(values, k), levels)
-    assert expectations_mod._chi2_ranks(levels, k)(values).tobytes() == wanted.tobytes()
-    # the raw pulled levels alone rank some of these values wrongly
-    assert np.any(_ranks(values, np.sort(pulled)) != wanted)
+    values = pulled + np.arange(-3000, 3001)[:, None] * np.spacing(pulled)
+    planted, wanted = _planted_curve(monkeypatch, k, levels, values)
+    # the scores, which the rule no longer computes, place some of these
+    # values on the other side of a level
+    assert np.any(_ranks(_chi2_scores(planted, k), levels) != wanted)
 
 
 @pytest.mark.parametrize("k", [1, 5, 20])
 @pytest.mark.parametrize("levels, top", [
-    (np.array([-40.0, -30.0, 30.0, 40.0]), 3),  # no level pulled back
+    (np.array([-40.0, -30.0, 30.0, 40.0]), 3),  # 40 pulls back to inf
     (np.linspace(-36.0, 36.0, 255), 255),  # levels past both ends, a uint8 rank of 255
 ], ids=["outer", "255"])
-def test_pulled_chi2_ranks_past_the_pull_limit(k, levels, top):
-    # values on a grid of scores to the last finite one and about the values
-    # pulled from +-25, which stand in for the neighbours of the end ranks
+def test_pulled_chi2_ranks_past_the_pull_limit(monkeypatch, k, levels, top):
+    # values on a grid of scores to the last finite one, about the values
+    # pulled from +-25 and about each finite pulled level, kept where their
+    # scores are finite, as a draw's must be
     ends = _chi2_quantiles(np.array([-25.0, 25.0]), k)
-    near = np.concatenate([
-        ends + np.arange(-3000, 3001)[:, None] * np.spacing(ends),
-        ends * (1.0 + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * expectations_mod._PULL_BRACKET),
-    ]).ravel()
-    grid = _chi2_quantiles(np.linspace(-39.0, 39.0, 4001), k)
-    values = np.concatenate([grid, near])
+    pulled = _chi2_quantiles(levels, k)
+    pulled = pulled[np.isfinite(pulled)]
+    ulps = np.arange(-3000, 3001)[:, None]
+    values = np.concatenate([
+        _chi2_quantiles(np.linspace(-39.0, 39.0, 4001), k),
+        (ends + ulps * np.spacing(ends)).ravel(),
+        (pulled + ulps * np.spacing(pulled)).ravel(),
+    ])
     values = values[(special.gammainc(k / 2.0, values / 2.0) > 0)
                     & (special.gammaincc(k / 2.0, values / 2.0) > 0)]  # finite scores
-    wanted = _ranks(_chi2_scores(values, k), levels)
-    got = expectations_mod._chi2_ranks(levels, k)(values)
-    assert got.dtype == wanted.dtype == np.uint8
-    assert got.tobytes() == wanted.tobytes()
+    _, wanted = _planted_curve(monkeypatch, k, levels, values)
     assert wanted.max() == top
 
 
 def test_pulled_chi2_ranks_score_only_the_values_beside_a_pulled_level(monkeypatch):
-    # a chi-square(5) draw with each pulled level planted in it: the planted
-    # values, and no other, go through the scores
-    k, levels = 5, np.linspace(-4.0, 4.0, 81)
+    # a chi-square(5) draw with each pulled level, +-3000 ULPs, planted in it
+    # counts at the pulled levels, and only its minimum and maximum are scored
+    k = 5
+    levels = np.concatenate([[-40.0, -30.0, -25.0], np.linspace(-4.0, 4.0, 81), [25.0, 30.0, 40.0]])
     cov = CovarianceModel(lambda2=100.0)
-    draw = simulate_model(ChiSquaredModel(k=k, cov=cov), (64, 64), 1 / 63, 11).values.ravel()
+    draw = simulate_model(ChiSquaredModel(k=k, cov=cov), (64, 64), 1 / 63, 11).values
     pulled = _chi2_quantiles(levels, k)
-    values = np.concatenate([draw, pulled])
-    near = np.abs(draw[:, None] / pulled - 1.0) <= 2.0 * expectations_mod._PULL_BRACKET
-    assert not near.any()
+    pulled = pulled[(pulled > 0) & np.isfinite(pulled)]
+    values = np.append(draw, pulled + np.arange(-3000, 3001)[:, None] * np.spacing(pulled))
     scored = []
 
     def counted(v, k):
@@ -851,9 +876,18 @@ def test_pulled_chi2_ranks_score_only_the_values_beside_a_pulled_level(monkeypat
         return _chi2_scores(v, k)
 
     monkeypatch.setattr(expectations_mod, "_chi2_scores", counted)
-    got = expectations_mod._chi2_ranks(levels, k)(values)
-    assert scored == [pulled.size]
-    assert got.tobytes() == _ranks(_chi2_scores(values, k), levels).tobytes()
+    _planted_curve(monkeypatch, k, levels, values)
+    assert scored == [2]
+    # every level pulls back to 0, at or below every draw: the whole lattice,
+    # whose EC is 1; or every level pulls back to inf, above every draw: EC 0
+    monkeypatch.undo()
+    model = GaussianisedModel(ChiSquaredModel(k=1, cov=cov))
+    for grid, wanted in ((np.arange(-40.0, -29.0), 1.0), (np.array([38.0, 39.0, 40.0]), 0.0)):
+        assert np.all(_chi2_quantiles(grid, 1) == (0.0 if wanted else np.inf))
+        expectations_mod._simulation_average.cache_clear()
+        curve = expected_ec_curve(model, Rectangle((1.0, 1.0)), grid, sim_shape=(33, 33), sim_reps=2)
+        assert np.all(curve.values == wanted)
+    expectations_mod._simulation_average.cache_clear()
 
 
 CURVE_EDGE_LEVELS = [-40.0, -38.6, -38.0, -3.0, 0.0, 1e-17, 3.0, 38.0, 40.0]

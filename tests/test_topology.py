@@ -250,6 +250,30 @@ def test_ec_curve_ranks_any_increasing_levels():
     assert rank.dtype == np.uint32  # the last case's 70,000 levels
 
 
+def test_ranks_take_nondecreasing_levels():
+    # A gaussianised chi-square curve ranks its draws against the running
+    # maximum of its pulled-back levels, so equal levels must rank as
+    # searchsorted ranks them: every copy at or below a value counts.
+    rng = np.random.default_rng(26)
+    spread = np.linspace(-3.0, 3.0, 41)
+    level_sets = [
+        np.append(np.zeros(27), np.geomspace(1e-3, 50.0, 30)),
+        np.full(9, 1.5),
+        np.array([5e-324, 5e-324, 1e-323, 1e-323, 1e-323, 1.5e-323]),
+        np.sort(rng.choice(spread, 255)),
+        np.array([0.0]),
+    ]
+    for levels in level_sets:
+        values = np.concatenate([
+            [0.0, 5e-324, 1e-323, 1e300, -1e300, -1.0],
+            levels, np.nextafter(levels, -np.inf), np.nextafter(levels, np.inf),
+            rng.choice(spread, 500), 3.0 * rng.standard_normal(500),
+        ])
+        rank = _ranks(values, levels)
+        assert rank.dtype == np.min_scalar_type(levels.size)
+        assert np.array_equal(rank, np.searchsorted(levels, values, side="right")), levels[:3]
+
+
 def _even_shape(sites, dim):
     """A ``dim``-axis shape of exactly ``sites`` sites, its axes as even as the factors allow."""
     factors, d = [], 2
