@@ -46,8 +46,6 @@ from .topology import CurveFormatError, ECCurve, _meta_text, ec_csv_text, ec_cur
 
 MODEL_HELP = "gaussian | chisq:k | t:k | f:n:m | gchisq:k"
 
-_BOOLEAN_CONFIG_KEYS = {"estimate-moments"}
-
 
 # ---------------------------------------------------------------------------
 # argument value parsers
@@ -162,7 +160,9 @@ def _config_tokens(path: str) -> list[str]:
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
             value = value.strip()
-            if key in _BOOLEAN_CONFIG_KEYS:
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
+            if key == "estimate-moments":  # the one boolean flag
                 lowered = value.lower()
                 if lowered in ("1", "true", "yes", "on"):
                     tokens.append(f"--{key}")
@@ -293,7 +293,6 @@ def cmd_identify(args) -> int:
         empirical,
         candidates,
         _field_domain(field),
-        sim_shape=field.values.shape,
         sim_reps=args.sim_reps,
         jobs=_resolve_jobs(args),
     )

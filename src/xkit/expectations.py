@@ -21,11 +21,9 @@ empirical EC curve against candidate models.
 Expected curves for gaussianised models have no closed form; they are
 produced by averaging simulated curves under a fixed internal seed schedule
 (decoupled from any user data seed), summed in realisation order over a
-thread pool, and held in a bounded ``functools.lru_cache``.  Over a
-chi-square base with its exact CDF, each draw is counted at the levels
-pulled back through that CDF: the same excursion sets as the gaussianised
-draw's, up to the rounding of one pulled level per level.  Tail
-probabilities and thresholds need the closed form and refuse these models.
+thread pool, and held in a bounded ``functools.lru_cache``
+(:func:`_simulation_average`).  Tail probabilities and thresholds need the
+closed form and refuse these models.
 """
 
 from __future__ import annotations
@@ -44,15 +42,13 @@ from .fields import (
     FieldModel,
     GaussianModel,
     GaussianisedModel,
-    _check_spectral_matrix,
-    _chi2_quantiles,
-    _chi2_scores,
     component_seed,
     simulate_model,
 )
 from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
-from .geometry import _check_levels, _finite_levels, _gaussian_gmfs, _positive, _whole
-from .topology import ECCurve, _check_dim, _rank_curve, _ranks
+from .geometry import _check_dim, _check_levels, _check_spectral_matrix, _chi2_quantiles
+from .geometry import _chi2_scores, _finite_levels, _gaussian_gmfs, _positive, _whole
+from .topology import ECCurve, _ec_at
 
 __all__ = [
     "CapabilityError",
@@ -319,18 +315,16 @@ def _simulation_average(
     k = model._chi2_k
     counted, at = model, levels
     if k is not None:
-        # nondecreasing for _ranks: 0 and 1e-17 pull back to one value, and
+        # nondecreasing for _ec_at: 0 and 1e-17 pull back to one value, and
         # neighbouring levels can pull back out of order by rounding
-        pulled = np.maximum.accumulate(_chi2_quantiles(levels, k))
-        counted, at = model.base, pulled[pulled < np.inf]  # no finite draw reaches inf
+        counted, at = model.base, np.maximum.accumulate(_chi2_quantiles(levels, k))
 
     def one(rep: int) -> np.ndarray:
         seed = component_seed(_CURVE_SEED_BASE, rep)
         values = simulate_model(counted, sim_shape, spacing, seed).values
         if k is not None:  # a value gaussianise refuses is a draw's minimum or maximum
             _chi2_scores(np.array([values.min(), values.max()]), k)
-        ranks = _ranks(values, at) if at.size else np.zeros(values.shape, np.uint8)
-        return _rank_curve(ranks, levels.size)
+        return _ec_at(values, at)
 
     with ThreadPoolExecutor(max_workers=workers.count) as pool:
         return sum(pool.map(one, range(reps)), np.zeros(levels.size)) / reps  # in rep order
@@ -353,12 +347,8 @@ def expected_ec_curve(
     densities (Taylor 2006; Worsley 1994): the kinematic sum over the
     functionals their ``_gmfs`` hook returns for all levels at once.
     Gaussianised models, which have no closed form, use a cached simulation
-    average on a ``sim_shape`` lattice.  Over an unstandardised chi-square
-    base, whose exact CDF is increasing, each draw's curve is counted on the
-    chi-square draw itself at the levels pulled back through that CDF
-    (:func:`_simulation_average`, :func:`~xkit.fields.gaussianise`): the
-    same excursion sets as the gaussianised draw's, up to the rounding of
-    one pulled level per level.
+    average on a ``sim_shape`` lattice (:func:`_simulation_average`), counted
+    on an unstandardised chi-square base's own draws at pulled-back levels.
     """
     levels = _check_levels(levels)
     dim = domain.dim

@@ -47,7 +47,8 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import special
 
-from .geometry import _chi2_gmfs, _f_gmfs, _gaussian_gmfs, _positive, _t_gmfs, _whole
+from .geometry import _check_spectral_matrix, _chi2_gmfs, _chi2_scores, _f_gmfs, _gaussian_gmfs
+from .geometry import _positive, _t_gmfs, _whole
 
 __all__ = [
     "CovarianceModel",
@@ -130,19 +131,6 @@ class CovarianceModel:
         lam = self.spectral_matrix(lags.shape[-1])
         quad = np.einsum("...i,ij,...j->...", lags, lam, lags)
         return np.exp(-0.5 * quad)
-
-
-def _check_spectral_matrix(matrix) -> np.ndarray:
-    """A read-only float copy of ``matrix``, checked square, symmetric and positive definite."""
-    m = np.array(matrix, dtype=float)
-    m.flags.writeable = False
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectral-moment matrix must be square")
-    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
-        raise ValueError("spectral-moment matrix must be symmetric")
-    if np.any(np.linalg.eigvalsh(m) <= 0):
-        raise ValueError("spectral-moment matrix must be positive definite")
-    return m
 
 
 def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
@@ -286,9 +274,8 @@ class GaussianisedModel:
     other base (a standardised chi-square too) the empirical transform.  The
     result has standard normal marginals but keeps the spatial dependence of
     the base field.  With the exact CDF, an increasing transform, an expected
-    EC curve is counted on the chi-square draws at pulled-back levels: the
-    same excursion sets, up to the rounding of one pulled level per level
-    (see :func:`xkit.expectations.expected_ec_curve`).
+    EC curve is counted on the chi-square draws at pulled-back levels (see
+    :func:`xkit.expectations.expected_ec_curve`).
     """
 
     base: "FieldModel"
@@ -313,10 +300,8 @@ class GaussianisedModel:
         return base.k if isinstance(base, ChiSquaredModel) and not base.standardized else None
 
     def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        base = simulate_model(self.base, shape, spacing, seed)
-        if self._chi2_k is None:
-            return gaussianise(base, mode="empirical")
-        return gaussianise(base, mode="exact-chi2", k=self._chi2_k)
+        base, k = simulate_model(self.base, shape, spacing, seed), self._chi2_k
+        return gaussianise(base, mode="empirical" if k is None else "exact-chi2", k=k)
 
 
 FieldModel = (
@@ -578,44 +563,6 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
         k = _whole(k, "degrees of freedom", least=1)
         return LatticeField(values=_chi2_scores(values, k), spacing=field.spacing)
     raise ValueError(f"unknown gaussianisation mode {mode!r}")
-
-
-def _chi2_scores(values: np.ndarray, k: int) -> np.ndarray:
-    """The normal scores ``Phi^{-1}(F_k(x))`` of chi-square(``k``) values.
-
-    The lower gamma tail is evaluated everywhere and the upper one only
-    where the lower passes 1/2, so each score comes from the smaller tail.
-    Negative values, and values whose tail probability is 0 or underflows,
-    are refused.
-    """
-    if np.any(values < 0):
-        raise ValueError("exact-chi2 gaussianisation needs nonnegative values")
-    lower = special.gammainc(k / 2.0, values / 2.0)
-    out = special.ndtri(lower)
-    upper = lower > 0.5  # only there is the upper tail the smaller one
-    out[upper] = -special.ndtri(special.gammaincc(k / 2.0, values[upper] / 2.0))
-    infinite = np.flatnonzero(np.isinf(out))
-    if infinite.size:
-        at = infinite[0]
-        raise ValueError(
-            f"exact-chi2 gaussianisation cannot map {float(values.flat[at])!r}: its "
-            f"chi-square({k}) {'upper' if out.flat[at] > 0 else 'lower'} tail probability "
-            f"is 0 or underflows, so it has no finite normal score"
-        )
-    return out
-
-
-def _chi2_quantiles(levels: np.ndarray, k: int) -> np.ndarray:
-    """The chi-square(``k``) values whose normal scores are ``levels``.
-
-    The inverse of :func:`_chi2_scores` up to rounding, through the same
-    smaller tail: the lower one at and below 0, the upper one above.
-    """
-    lower = levels <= 0
-    out = np.empty(levels.shape)
-    out[lower] = special.gammaincinv(k / 2.0, special.ndtr(levels[lower]))
-    out[~lower] = special.gammainccinv(k / 2.0, special.ndtr(-levels[~lower]))
-    return 2.0 * out
 
 
 def estimate_spectral_moments(field: LatticeField) -> tuple[np.ndarray, float]:

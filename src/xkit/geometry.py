@@ -17,9 +17,9 @@ quantities that every expected-topology formula is built from:
 Everything here is deterministic, cheap, and heavily cross-checked by
 the test suite; the Monte-Carlo and lattice machinery lives elsewhere.
 This module is the bottom of the package's imports, so it also holds the
-argument checks every module shares (``_whole``, ``_positive``,
-``_finite_levels``, ``_check_levels``) and :class:`CapabilityError`, raised
-where a closed form stops.
+argument checks every module shares (``_whole``, ``_positive``, ``_finite_levels``,
+``_check_levels``, ``_check_spectral_matrix``, ``_check_dim``), the chi-square normal
+scores ``_chi2_scores`` and their inverse ``_chi2_quantiles``, and :class:`CapabilityError`.
 """
 
 from __future__ import annotations
@@ -96,6 +96,30 @@ def _check_levels(levels) -> np.ndarray:
     return levels
 
 
+def _check_spectral_matrix(matrix) -> np.ndarray:
+    """A read-only float copy of ``matrix``, checked square, symmetric and positive definite."""
+    m = np.array(matrix, dtype=float)
+    m.flags.writeable = False
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("spectral-moment matrix must be square")
+    if not np.allclose(m, m.T, rtol=1e-10, atol=1e-12):
+        raise ValueError("spectral-moment matrix must be symmetric")
+    if np.any(np.linalg.eigvalsh(m) <= 0):
+        raise ValueError("spectral-moment matrix must be positive definite")
+    return m
+
+
+_MAX_DIM = 3
+
+
+def _check_dim(dim: int) -> None:
+    if not 1 <= dim <= _MAX_DIM:
+        raise ValueError(
+            f"unsupported dimension {dim}: Euler characteristics are "
+            f"implemented for 1 to {_MAX_DIM} dimensions"
+        )
+
+
 # ---------------------------------------------------------------------------
 # basic scalar functions
 # ---------------------------------------------------------------------------
@@ -144,6 +168,44 @@ def chi2_tail(x, k: int):
     x = np.asarray(x, dtype=float)
     out = np.where(x > 0, special.gammaincc(k / 2.0, np.maximum(x, 0.0) / 2.0), 1.0)
     return out if out.ndim else float(out)
+
+
+def _chi2_scores(values: np.ndarray, k: int) -> np.ndarray:
+    """The normal scores ``Phi^{-1}(F_k(x))`` of chi-square(``k``) values.
+
+    The lower gamma tail is evaluated everywhere and the upper one only
+    where the lower passes 1/2, so each score comes from the smaller tail.
+    Negative values, and values whose tail probability is 0 or underflows,
+    are refused.
+    """
+    if np.any(values < 0):
+        raise ValueError("exact-chi2 gaussianisation needs nonnegative values")
+    lower = special.gammainc(k / 2.0, values / 2.0)
+    out = special.ndtri(lower)
+    upper = lower > 0.5  # only there is the upper tail the smaller one
+    out[upper] = -special.ndtri(special.gammaincc(k / 2.0, values[upper] / 2.0))
+    infinite = np.flatnonzero(np.isinf(out))
+    if infinite.size:
+        at = infinite[0]
+        raise ValueError(
+            f"exact-chi2 gaussianisation cannot map {float(values.flat[at])!r}: its "
+            f"chi-square({k}) {'upper' if out.flat[at] > 0 else 'lower'} tail probability "
+            f"is 0 or underflows, so it has no finite normal score"
+        )
+    return out
+
+
+def _chi2_quantiles(levels: np.ndarray, k: int) -> np.ndarray:
+    """The chi-square(``k``) values whose normal scores are ``levels``.
+
+    The inverse of :func:`_chi2_scores` up to rounding, through the same
+    smaller tail: the lower one at and below 0, the upper one above.
+    """
+    lower = levels <= 0
+    out = np.empty(levels.shape)
+    out[lower] = special.gammaincinv(k / 2.0, special.ndtr(levels[lower]))
+    out[~lower] = special.gammainccinv(k / 2.0, special.ndtr(-levels[~lower]))
+    return 2.0 * out
 
 
 def hermite(n: int, x):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from xkit.fields import LatticeField
-from xkit.geometry import LKCVector, _check_levels, _finite_levels, _positive
+from xkit.geometry import LKCVector, _check_dim, _check_levels, _finite_levels, _positive
 
 __all__ = [
     "ECCurve",
@@ -50,7 +50,6 @@ __all__ = [
     "read_ec_csv",
 ]
 
-_MAX_DIM = 3
 _FLOAT = np.finfo(float)
 # Sites ranked and counted at a time, so a block's temporaries stay in cache
 # (64^3 curves: about as fast from 2^14 to 2^17, slower at 2^13 and 2^18).
@@ -64,14 +63,6 @@ class CurveFormatError(ValueError):
 def excursion_mask(field: LatticeField, u: float) -> np.ndarray:
     """Boolean mask of the excursion set ``{x : f(x) >= u}`` on the grid."""
     return field.values >= _finite_levels(u, "threshold")
-
-
-def _check_dim(dim: int) -> None:
-    if not 1 <= dim <= _MAX_DIM:
-        raise ValueError(
-            f"unsupported dimension {dim}: Euler characteristics are "
-            f"implemented for 1 to {_MAX_DIM} dimensions"
-        )
 
 
 def _reduce_along(arr: np.ndarray, axis: int) -> np.ndarray:
@@ -223,20 +214,31 @@ def _rank_curve(ranks: np.ndarray, size: int) -> np.ndarray:
     return np.cumsum(faces[:0:-1])[::-1]
 
 
+def _ec_at(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The EC of ``{values >= u}`` at each of the nondecreasing ``levels``, as int64:
+    the one counting entry.  ``levels`` may repeat, be empty, or end in ``+inf``
+    levels, whose EC is 0, as no finite value reaches them."""
+    reached = levels[:np.searchsorted(levels, np.inf)]
+    ranks = _ranks(values, reached) if reached.size else np.zeros(values.shape, np.uint8)
+    return _rank_curve(ranks, levels.size)
+
+
 def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) -> ECCurve:
     """Empirical EC curve of a lattice field over strictly increasing levels.
 
     Rather than rebuilding a mask per level, the sites are ranked against the
     levels once, without a sort: each site's rank is the number of levels at
     or below its value (a uint8 for up to 255 levels), read from a bucket
-    table and settled by comparing against the levels that share the site's
-    bucket (:func:`_ranks`; one comparison for evenly spaced levels).  The
+    table (:func:`_ranks`; one comparison for evenly spaced levels).  The
     rank does not decrease with the value, so the minimum of a face's corner
     ranks is the rank of its corner minimum, and the face is present at
     ``levels[k]`` exactly when that rank exceeds ``k``.  Each face type, the
     sites included, adds its signed histogram of minimum ranks into one, and
     the curve is that histogram's reverse cumulative sum: exact integers,
-    ties included.
+    ties included.  That count is :func:`_ec_at`, shared with simulated
+    expected curves, which takes any nondecreasing levels (empty, repeated,
+    or ending in ``+inf`` ones, whose EC is 0); ``_check_dim`` is in
+    :mod:`xkit.geometry`.
 
     Each value is the exact EC of the lattice's closed cubical complex.  As
     an estimate of the continuum EC it is biased by an amount that depends
@@ -248,7 +250,7 @@ def ec_curve(field: LatticeField, levels: np.ndarray, meta: dict | None = None) 
     """
     levels = _check_levels(levels)
     _check_dim(field.dim)
-    chi = _rank_curve(_ranks(field.values, levels), levels.size)
+    chi = _ec_at(field.values, levels)
     base_meta = {"shape": "x".join(str(n) for n in field.shape), "spacing": repr(field.spacing)}
     if meta:
         base_meta.update(meta)

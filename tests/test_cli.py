@@ -299,6 +299,15 @@ def test_a_level_grid_too_large_to_allocate_is_a_usage_error(field_file, capsys)
         assert f"--levels grid {grid!r} has too many levels" in err, err
 
 
+def test_ec_curve_zero_length_axis_is_format_error(tmp_path, capsys):
+    empty = tmp_path / "empty.xkf"
+    header = np.array([2, 4, 0], "<u4").tobytes() + np.array([0.1], "<f8").tobytes()
+    empty.write_bytes(b"XKF1" + header)  # a 4 x 0 grid: dimension, sizes, spacing
+    code, stdout, err = run_cli(["ec-curve", "--field", str(empty), "--levels=0:1:0.5"], capsys)
+    assert (code, stdout) == (3, "")
+    assert f"{empty}: empty grid (4, 0)" in err
+
+
 def test_ec_curve_malformed_field_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.xkf"
     bad.write_bytes(b"not a field at all")
@@ -717,6 +726,30 @@ def test_config_boolean_key(gaussian_field_file, tmp_path, capsys):
     code, stdout, _ = run_cli(["identify", "--config", str(cfg)], capsys)
     assert code == 0
     assert "# moments=estimated" in stdout
+
+
+def test_config_boolean_key_off_and_refused(gaussian_field_file, tmp_path, capsys):
+    cfg = tmp_path / "id.cfg"
+    common = f"field={gaussian_field_file}\nlevels=-2:2:0.5\ncandidates=gaussian\n"
+    cfg.write_text(common + "lambda2=200\nestimate-moments=false\n")
+    code, stdout, _ = run_cli(["identify", "--config", str(cfg)], capsys)
+    assert code == 0
+    assert "# moments=lambda2=200.0" in stdout
+    cfg.write_text(common + "estimate-moments=maybe\n")
+    code, stdout, err = run_cli(["identify", "--config", str(cfg)], capsys)
+    assert (code, stdout) == (2, "")
+    assert f"{cfg}:4: estimate-moments must be a boolean, got 'maybe'" in err
+
+
+def test_a_config_file_naming_another_is_refused_by_file_and_line(tmp_path, capsys):
+    # the key is written in full, inside the file: not a command-line abbreviation
+    other = tmp_path / "other.txt"
+    other.write_text("levels=-1:1:0.5\n")
+    nest = tmp_path / "nest.txt"
+    nest.write_text(f"# nested\nconfig={other}\n")
+    code, stdout, err = run_cli(["identify", "--config", str(nest)], capsys)
+    assert (code, stdout) == (2, "")
+    assert f"{nest}:2: a config file cannot name another config file" in err
 
 
 def test_config_error_paths(tmp_path, capsys):

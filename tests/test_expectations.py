@@ -14,6 +14,7 @@ from scipy import special, stats
 
 import xkit.expectations as expectations_mod
 import xkit.fields as fields_mod
+import xkit.topology as topology_mod
 from xkit.expectations import (
     CapabilityError,
     NoSolutionError,
@@ -38,8 +39,6 @@ from xkit.fields import (
     GaussianisedModel,
     GaussianModel,
     TFieldModel,
-    _chi2_quantiles,
-    _chi2_scores,
     component_seed,
     simulate_model,
 )
@@ -47,6 +46,8 @@ from xkit.geometry import (
     GMFSeries,
     LKCVector,
     Rectangle,
+    _chi2_quantiles,
+    _chi2_scores,
     chi2_gmf,
     flag_coefficient,
     gaussian_gmf,
@@ -434,6 +435,9 @@ def test_high_level_argument_errors():
         expected_lkc_high_level(5.0, 3, lkcs=lk)
     with pytest.raises(ValueError, match="NaN"):
         expected_lkc_high_level(5.0, 0, lkcs=LKCVector(np.array([1.0, 2.0, np.nan])))
+    for half in ({"rect": SQUARE}, {"metric": lambda x: np.eye(2)}):
+        with pytest.raises(ValueError, match="rect and metric must be supplied together"):
+            expected_lkc_high_level(5.0, 0, **half)
 
 
 # ---------------------------------------------------------------------------
@@ -801,8 +805,8 @@ def _planted_curve(monkeypatch, k, levels, values):
     shuffled = np.random.default_rng(7).permutation(np.ravel(values))
     planted = np.resize(shuffled, (-(-shuffled.size // 64), 64))
     monkeypatch.setattr(fields_mod, "_sum_of_squares", lambda *args: planted.copy())
-    counted, real = [], expectations_mod._rank_curve
-    monkeypatch.setattr(expectations_mod, "_rank_curve",
+    counted, real = [], topology_mod._rank_curve
+    monkeypatch.setattr(topology_mod, "_rank_curve",
                         lambda ranks, size: counted.append(ranks) or real(ranks, size))
     model = GaussianisedModel(ChiSquaredModel(k=k, cov=CovarianceModel(lambda2=100.0)))
     rect = Rectangle(tuple((n - 1) / 63 for n in planted.shape))
@@ -1172,6 +1176,18 @@ def test_threshold_plateau_never_reaches_alpha(monkeypatch):
 
     monkeypatch.setattr(expectations_mod, "_closed_form", fake)
     with pytest.raises(NoSolutionError, match="never falls"):
+        threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
+
+
+def test_threshold_refuses_a_root_that_misses_alpha(monkeypatch):
+    # the curve drops from 0.097 to 0.01 at level 4.5, past alpha, so Brent's
+    # method closes in on the drop, where the EC is not alpha
+    def fake(model, lkcs, levels, order=0):
+        return np.where(levels < 4.5, 0.3 * np.exp(-0.5 * (levels - 3.0) ** 2),
+                        0.01 * np.exp(4.5 - levels))
+
+    monkeypatch.setattr(expectations_mod, "_closed_form", fake)
+    with pytest.raises(NoSolutionError, match=r"\|EEC - alpha\| <= 1e-10 \(last 0\.0"):
         threshold(GaussianModel(cov=COV200), SQUARE, 0.05)
 
 

@@ -78,6 +78,12 @@ def test_spectral_matrix_dimension_guard():
     assert np.array_equal(COV20.spectral_matrix(3), 20.0 * np.eye(3))
 
 
+def test_spectral_matrix_must_be_square():
+    for matrix in (np.ones((2, 3)), np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match="spectral-moment matrix must be square"):
+            CovarianceModel(matrix=matrix)
+
+
 def test_covariance_models_compare_and_hash_by_value():
     spectral = np.array([[200.0, 50.0], [50.0, 300.0]])
     a = CovarianceModel(variance=1.0, matrix=spectral)
@@ -886,6 +892,11 @@ def test_field_file_rejects_malformed_inputs(tmp_path):
     truncated.write_bytes(raw[:30])
     with pytest.raises(FieldFormatError):
         read_field(truncated)
+
+    short_header = tmp_path / "head.xkf"
+    short_header.write_bytes(raw[:12])  # the grid sizes but not the spacing
+    with pytest.raises(FieldFormatError, match="truncated header"):
+        read_field(short_header)
 
     trailing = tmp_path / "trail.xkf"
     trailing.write_bytes(raw + b"\x00" * 8)

@@ -408,6 +408,16 @@ def test_gmf_series_validates_mass():
         GMFSeries(k=0, values=np.array([0.5]))
 
 
+def test_gmf_series_refuses_values_that_are_not_one_dimensional():
+    with pytest.raises(ValueError, match="non-empty 1-d"):
+        GMFSeries(k=1, values=np.array([[0.5, 0.1], [0.0, 0.0]]))
+
+
+def test_ball_volume_refuses_a_negative_dimension():
+    with pytest.raises(ValueError, match="ball dimension must be >= 0, got -1"):
+        ball_volume(-1)
+
+
 def test_gmf_series_refuses_non_finite_entries():
     # a NaN or infinite M_j would turn every kinematic sum over it into NaN
     for bad in (np.nan, np.inf, -np.inf):

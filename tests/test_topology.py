@@ -25,6 +25,7 @@ from xkit.topology import (
     excursion_mask,
     face_counts,
     geometric_measures,
+    _ec_at,
     _ranks,
     read_ec_csv,
     write_ec_csv,
@@ -370,6 +371,26 @@ def test_ec_curve_dataclass_validation():
         ECCurve(levels=levels, values=np.array([1.0, 2.0]), kind="guessed")
     curve = ECCurve(levels=levels, values=np.array([1.0, 2.0]), meta={"seed": 7})
     assert curve.meta == {"seed": "7"}  # coerced to strings
+
+
+def test_ec_curve_len_and_repr():
+    curve = ECCurve(levels=np.array([-1.5, 0.0, 2.25]), values=np.array([3.0, 1.0, 0.0]))
+    assert len(curve) == 3
+    assert repr(curve) == "ECCurve(kind='empirical', n=3, levels=[-1.5..2.25])"
+
+
+def test_ec_at_counts_repeated_empty_and_infinite_levels():
+    # a nondecreasing level array may repeat a level, be empty, or end in
+    # +inf levels, which no finite value reaches: their EC is 0
+    values = np.random.default_rng(3).standard_normal((9, 11))
+    finite = np.array([-0.5, -0.5, 0.0, 0.75])
+    wanted = [euler_characteristic(values >= u) for u in finite]
+    for levels in (finite, np.append(finite, [np.inf, np.inf])):
+        counted = _ec_at(values, levels)
+        assert counted.dtype == np.int64
+        assert counted.tolist() == wanted + [0] * (levels.size - finite.size)
+    for levels in (np.array([]), np.array([np.inf, np.inf])):
+        assert _ec_at(values, levels).tolist() == [0] * levels.size
 
 
 def test_ec_curve_stable_under_grid_refinement():
