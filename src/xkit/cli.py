@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import replace
 
@@ -41,10 +40,11 @@ from .fields import (
     simulate_model,
     write_field,
 )
-from .geometry import Rectangle, _whole
+from .geometry import Rectangle
 from .topology import CurveFormatError, ECCurve, _meta_text, ec_csv_text, ec_curve, write_ec_csv
 
 MODEL_HELP = "gaussian | chisq:k | t:k | f:n:m | gchisq:k"
+JOBS_HELP = "worker threads for simulation averages (default 1; same output for any count)"
 
 
 # ---------------------------------------------------------------------------
@@ -121,20 +121,6 @@ def _field_domain(field: LatticeField) -> Rectangle:
     return Rectangle(tuple((n - 1) * field.spacing for n in field.values.shape))
 
 
-def _resolve_jobs(args) -> int:
-    """The worker count: ``--jobs``, else ``XKIT_JOBS``, else 1; an error names its source."""
-    if args.jobs is not None:
-        return _whole(args.jobs, "--jobs", least=1)
-    text = os.environ.get("XKIT_JOBS", "1")
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise ValueError(f"XKIT_JOBS must be an integer >= 1, got {text!r}")
-    return jobs
-
-
 def _covariance_from_args(args) -> CovarianceModel:
     return CovarianceModel(variance=args.variance, lambda2=args.lambda2)
 
@@ -160,7 +146,7 @@ def _config_tokens(path: str) -> list[str]:
             key, _, value = line.partition("=")
             key = key.strip().replace("_", "-")
             value = value.strip()
-            if key == "config":
+            if key and "config".startswith(key):  # argparse would expand it to --config
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
             if key == "estimate-moments":  # the one boolean flag
                 lowered = value.lower()
@@ -244,7 +230,7 @@ def cmd_eec(args) -> int:
         order=args.order,
         sim_shape=sim_shape,
         sim_reps=args.sim_reps,
-        jobs=_resolve_jobs(args),
+        jobs=args.jobs,
     )
     curve = replace(curve, meta={**curve.meta, "levels": args.levels})
     _emit_curve(curve, args.out)
@@ -294,7 +280,7 @@ def cmd_identify(args) -> int:
         candidates,
         _field_domain(field),
         sim_reps=args.sim_reps,
-        jobs=_resolve_jobs(args),
+        jobs=args.jobs,
     )
     sys.stdout.write(echo)
     print("model discrepancy")
@@ -354,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     eec.add_argument("--sim-shape", help="lattice for simulation-averaged curves")
     eec.add_argument("--sim-reps", type=int, default=40, help="realisations to average")
-    eec.add_argument("--jobs", type=int, help="worker count (default: XKIT_JOBS or 1)")
+    eec.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     eec.add_argument("--out", help="output CSV (stdout when omitted)")
     eec.set_defaults(func=cmd_eec)
 
@@ -382,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ident.add_argument("--variance", type=float, default=1.0, help="field variance")
     ident.add_argument("--sim-reps", type=int, default=20, help="realisations to average")
-    ident.add_argument("--jobs", type=int, help="worker count (default: XKIT_JOBS or 1)")
+    ident.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     ident.set_defaults(func=cmd_identify)
 
     for sub in commands.choices.values():

@@ -355,6 +355,8 @@ def expected_ec_curve(
     order = _whole(order, "order")
     if not 0 <= order <= dim:
         raise ValueError(f"order must lie in 0..{dim}, got {order}")
+    sim_reps = _whole(sim_reps, "sim_reps", least=1)  # refused alike on every route
+    jobs = _whole(jobs, "jobs", least=1)
     meta = {
         "model": model.name,
         "domain": "x".join(repr(s) for s in domain.sides),
@@ -392,8 +394,6 @@ def expected_ec_curve(
             f"sim_shape {sim_shape} gives non-uniform spacing {spacings} on "
             f"rectangle {domain.sides}; lattice fields use one spacing"
         )
-    sim_reps = _whole(sim_reps, "sim_reps", least=1)
-    jobs = _whole(jobs, "jobs", least=1)
     meta["sim_shape"] = "x".join(str(n) for n in sim_shape)
     meta["sim_reps"] = str(sim_reps)
     average = _simulation_average(

@@ -625,7 +625,7 @@ def write_field(field: LatticeField, path) -> None:
         fh.write(struct.pack("<I", field.dim))
         fh.write(struct.pack(f"<{field.dim}I", *field.shape))
         fh.write(struct.pack("<d", field.spacing))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<f8"))  # no bytes copy
 
 
 def read_field(path) -> LatticeField:

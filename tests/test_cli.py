@@ -446,15 +446,17 @@ def test_eec_gaussianised_simulation_average(capsys):
 
 
 def test_eec_gaussianised_needs_a_realisation(capsys):
-    code, stdout, err = run_cli(
-        ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2",
-         "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
-         "--sim-reps", "0"],
-        capsys,
-    )
-    assert code == 2
-    assert stdout == ""
-    assert "sim_reps" in err
+    # the rule is the same on every route, though a closed form draws nothing
+    for model in ("gchisq:3", "gaussian"):
+        code, stdout, err = run_cli(
+            ["eec", "--model", model, "--cube", "0.8", "--dim", "2",
+             "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
+             "--sim-reps", "0"],
+            capsys,
+        )
+        assert code == 2
+        assert stdout == ""
+        assert "sim_reps must be >= 1, got 0" in err
 
 
 def test_chisq_large_degrees_of_freedom(capsys):
@@ -750,6 +752,12 @@ def test_a_config_file_naming_another_is_refused_by_file_and_line(tmp_path, caps
     code, stdout, err = run_cli(["identify", "--config", str(nest)], capsys)
     assert (code, stdout) == (2, "")
     assert f"{nest}:2: a config file cannot name another config file" in err
+    # a key argparse would expand to --config is the same key
+    for command, key in (("eec", "conf"), ("identify", "conf"), ("simulate", "c")):
+        nest.write_text(f"{key}={other}\n")
+        code, stdout, err = run_cli([command, "--config", str(nest)], capsys)
+        assert (code, stdout) == (2, "")
+        assert f"{nest}:1: a config file cannot name another config file" in err
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -785,35 +793,38 @@ def test_every_subcommand_help_lists_config(capsys):
         assert "--config CONFIG" in stdout
 
 
-def test_jobs_env_default(monkeypatch, capsys):
-    expectations_mod._simulation_average.cache_clear()
-    argv = ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2",
-            "--lambda2", "100", "--levels=-1:1:0.5", "--sim-shape", "17,17",
-            "--sim-reps", "3"]
-    monkeypatch.setenv("XKIT_JOBS", "2")
-    code, parallel, _ = run_cli(argv, capsys)
-    assert code == 0
-    expectations_mod._simulation_average.cache_clear()
-    monkeypatch.delenv("XKIT_JOBS")
-    code, serial, _ = run_cli(argv, capsys)
-    assert code == 0
-    assert parallel == serial  # worker count never changes the output
-    monkeypatch.setenv("XKIT_JOBS", "0")
-    assert run_cli(argv, capsys)[0] == 2
+GCHISQ_EEC = ["eec", "--model", "gchisq:3", "--cube", "0.8", "--dim", "2", "--lambda2", "100",
+              "--levels=-1:1:0.5", "--sim-shape", "17,17", "--sim-reps", "3"]
+GAUSSIAN_EEC = ["eec", "--model", "gaussian", "--lambda2", "20", "--cube", "1", "--dim", "2",
+                "--levels", "0:1:0.5"]
 
 
-def test_jobs_errors_name_their_source(monkeypatch, capsys):
-    argv = ["eec", "--model", "gaussian", "--lambda2", "20", "--cube", "1", "--dim", "2",
-            "--levels", "0:1:0.5"]
-    for value in ("abc", "0", "1.5"):
-        monkeypatch.setenv("XKIT_JOBS", value)
-        code, stdout, err = run_cli(argv, capsys)
-        assert (code, stdout) == (2, "")
-        assert f"XKIT_JOBS must be an integer >= 1, got {value!r}" in err
-    code, _, err = run_cli(argv + ["--jobs", "0"], capsys)  # the flag outranks the variable
-    assert code == 2
-    assert "--jobs must be >= 1, got 0" in err
-    assert "XKIT_JOBS" not in err
+def test_xkit_jobs_is_not_read(monkeypatch, capsys):
+    # the worker count has one source, --jobs; the environment does not reach it
+    for argv in (GAUSSIAN_EEC, GCHISQ_EEC):
+        monkeypatch.delenv("XKIT_JOBS", raising=False)
+        expectations_mod._simulation_average.cache_clear()
+        unset = run_cli(argv, capsys)
+        assert unset[0] == 0
+        for value in ("abc", "0", "2"):
+            monkeypatch.setenv("XKIT_JOBS", value)
+            expectations_mod._simulation_average.cache_clear()
+            assert run_cli(argv, capsys) == unset
+
+
+def test_jobs_flag_gives_the_same_bytes_and_is_refused_by_name(gaussian_field_file, capsys):
+    outputs = []
+    for jobs in ("1", "2"):
+        expectations_mod._simulation_average.cache_clear()
+        code, stdout, _ = run_cli(GCHISQ_EEC + ["--jobs", jobs], capsys)
+        assert code == 0
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]  # worker count never changes the output
+    identify = ["identify", "--field", str(gaussian_field_file), "--levels=-2:2:0.5",
+                "--candidates", "gaussian", "--lambda2", "200"]
+    for argv in (GAUSSIAN_EEC, GCHISQ_EEC, identify):  # the library's one refusal
+        code, stdout, err = run_cli(argv + ["--jobs", "0"], capsys)
+        assert (code, stdout, err) == (2, "", "error: jobs must be >= 1, got 0\n")
 
 
 def test_usage_errors_exit_two(capsys):

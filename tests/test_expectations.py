@@ -671,27 +671,31 @@ def test_gaussianised_curve_requirements():
 
 
 def test_gaussianised_curve_needs_a_realisation():
-    # no realisations would average to 0/0; both routes name the argument
-    model, rect = _tiny_gaussianised()
+    # no realisations would average to 0/0; both routes name the argument, and
+    # a closed-form model, which draws nothing, is held to the same rule
+    gaussianised, rect = _tiny_gaussianised()
     levels = np.array([-1.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="sim_reps"):
-        expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=0)
     curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical")
-    with pytest.raises(ValueError, match="sim_reps"):
-        identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=-1)
+    for model in (gaussianised, GaussianModel(cov=COV200)):
+        with pytest.raises(ValueError, match="sim_reps must be >= 1, got 0"):
+            expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=0)
+        with pytest.raises(ValueError, match="sim_reps must be >= 1, got -1"):
+            identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=-1)
 
 
 def test_gaussianised_curve_refuses_a_bad_worker_count():
-    # a count below 1 or not an integer is refused by name, before any draw
-    model, rect = _tiny_gaussianised()
+    # a count below 1 or not an integer is refused by name, before any draw,
+    # for a closed-form model as for a gaussianised one
+    gaussianised, rect = _tiny_gaussianised()
     levels = np.array([-1.0, 0.0, 1.0])
-    misses = expectations_mod._simulation_average.cache_info().misses
-    for jobs in (0, -2, 1.5):
-        with pytest.raises(ValueError, match="jobs must be"):
-            expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1, jobs=jobs)
     curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical")
-    with pytest.raises(ValueError, match="jobs must be"):
-        identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=1, jobs=0)
+    misses = expectations_mod._simulation_average.cache_info().misses
+    for model in (gaussianised, GaussianModel(cov=COV200)):
+        for jobs in (0, -2, 1.5):
+            with pytest.raises(ValueError, match="jobs must be"):
+                expected_ec_curve(model, rect, levels, sim_shape=(17, 17), sim_reps=1, jobs=jobs)
+            with pytest.raises(ValueError, match="jobs must be"):
+                identify_model(curve, [model], rect, sim_shape=(17, 17), sim_reps=1, jobs=jobs)
     assert expectations_mod._simulation_average.cache_info().misses == misses
 
 

@@ -837,6 +837,22 @@ def test_read_field_returns_its_own_writable_array(tmp_path):
     assert values.tobytes() == f.values.tobytes()
 
 
+def test_write_field_writes_the_array_without_a_payload_copy(tmp_path):
+    # the array's buffer goes to the file as it is: no payload-sized bytes
+    # object is made, and the file holds the header and the little-endian values
+    f = _arbitrary_field((64, 64, 64))
+    path = tmp_path / "field.xkf"
+    tracemalloc.start()
+    try:
+        write_field(f, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.values.nbytes / 4
+    header = b"XKF1" + struct.pack("<4I", 3, 64, 64, 64) + struct.pack("<d", 0.05)
+    assert path.read_bytes() == header + f.values.astype("<f8").tobytes()
+
+
 @pytest.mark.parametrize("shape", [(128, 128, 128), (2**32 - 1,) * 3])
 def test_read_field_refuses_a_huge_grid_before_allocating_it(tmp_path, shape):
     # a header announcing 16 MB, or more sites than an int64 counts, over an

@@ -435,3 +435,9 @@ def test_lkc_vector_refuses_infinite_entries_and_keeps_nan_as_unknown():
         with pytest.raises(ValueError, match="finite"):
             LKCVector([1.0, bad])
     assert math.isnan(LKCVector([1.0, np.nan, 4.0])[1])
+
+
+def test_lkc_vector_and_gmf_series_reprs():
+    # six significant digits per entry; NaN, the unknown order, prints as nan
+    assert repr(LKCVector([1.0, np.nan, 1 / 3])) == "LKCVector([1, nan, 0.333333])"
+    assert repr(GMFSeries(k=3, values=[0.25, 1e-7])) == "GMFSeries(k=3, [0.25, 1e-07])"
