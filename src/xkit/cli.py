@@ -141,12 +141,12 @@ def _config_tokens(path: str) -> list[str]:
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
+            key, equals, value = line.partition("=")
             key = key.strip().replace("_", "-")
+            if not equals or not key:
+                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             value = value.strip()
-            if key and "config".startswith(key):  # argparse would expand it to --config
+            if "config".startswith(key):  # argparse would expand it to --config
                 raise ValueError(f"{path}:{lineno}: a config file cannot name another config file")
             if key == "estimate-moments":  # the one boolean flag
                 lowered = value.lower()

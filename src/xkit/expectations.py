@@ -46,7 +46,7 @@ from .fields import (
     simulate_model,
 )
 from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
-from .geometry import _check_dim, _check_levels, _check_spectral_matrix, _chi2_quantiles
+from .geometry import _check_dim, _check_levels, _chi2_quantiles
 from .geometry import _chi2_scores, _finite_levels, _gaussian_gmfs, _positive, _whole
 from .topology import ECCurve, _ec_at
 
@@ -88,11 +88,16 @@ class QuadratureError(RuntimeError):
 # kinematic sums
 # ---------------------------------------------------------------------------
 
+# Keyed on the whole indices the kinematic sums pass; a handful of pairs serves
+# every dimension in use, and the bound keeps an unusual one from growing it.
+_flag = functools.lru_cache(maxsize=64, typed=True)(flag_coefficient)
+
+
 def _kinematic_sum(lkcs: LKCVector, gmfs, i: int):
     """E L_i of ``{f >= u}`` from ``[M_0, ..., M_J]``, ``J >= dim - i``, each ``M_j``
     a float or an array over levels (see :mod:`xkit.geometry`)."""
     acc = sum(
-        flag_coefficient(i + j, j) * lkcs[i + j] * TWO_PI ** (-j / 2.0) * gmfs[j]
+        _flag(i + j, j) * lkcs[i + j] * TWO_PI ** (-j / 2.0) * gmfs[j]
         for j in range(lkcs.dim - i + 1)
     )
     return float(acc) if np.ndim(acc) == 0 else acc
@@ -149,17 +154,7 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
             f"spectral matrix shape {np.shape(spectral)} does not match a "
             f"{dim}-dimensional rectangle"
         )
-    spectral = _check_spectral_matrix(spectral)
-    values = np.zeros(dim + 1)
-    values[0] = 1.0
-    for k in range(1, dim + 1):
-        acc = 0.0
-        for subset in itertools.combinations(range(dim), k):
-            side_product = math.prod(rect.sides[a] for a in subset)
-            sub = spectral[np.ix_(subset, subset)]
-            acc += side_product * math.sqrt(np.linalg.det(sub))
-        values[k] = acc
-    return LKCVector(values)
+    return _metric_lkcs(GaussianModel(CovarianceModel(matrix=spectral)), rect)
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +352,10 @@ def expected_ec_curve(
         raise ValueError(f"order must lie in 0..{dim}, got {order}")
     sim_reps = _whole(sim_reps, "sim_reps", least=1)  # refused alike on every route
     jobs = _whole(jobs, "jobs", least=1)
+    if sim_shape is not None:
+        sim_shape = tuple(_whole(n, "each sim_shape entry") for n in sim_shape)
+        if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
+            raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
     meta = {
         "model": model.name,
         "domain": "x".join(repr(s) for s in domain.sides),
@@ -384,9 +383,6 @@ def expected_ec_curve(
             "a gaussianised expected curve needs sim_shape (its curve is a "
             "lattice simulation average)"
         )
-    sim_shape = tuple(_whole(n, "each sim_shape entry") for n in sim_shape)
-    if len(sim_shape) != dim or any(n < 2 for n in sim_shape):
-        raise ValueError(f"sim_shape {sim_shape} does not fit a {dim}-d domain")
     _check_dim(dim)
     spacings = [domain.sides[a] / (sim_shape[a] - 1) for a in range(dim)]
     if max(spacings) - min(spacings) > 1e-9 * max(spacings):
@@ -407,17 +403,31 @@ def expected_ec_curve(
 # ---------------------------------------------------------------------------
 
 def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
-    """The domain's Lipschitz-Killing curvatures in the metric of the model's field.
+    """The domain's Lipschitz-Killing curvatures in the metric of the model's field
+    (see :func:`metric_rectangle_lkcs`).
 
-    A gaussianised field's metric is not that of its base's components, and
-    its expected curve is a simulation average, so it is refused here.
+    The model's spectral matrix was checked when the model was made, so it is
+    not checked again.  A gaussianised field's metric is not that of its base's
+    components, and its expected curve is a simulation average, so it is
+    refused here.
     """
     if isinstance(model, GaussianisedModel):
         raise CapabilityError(
             "threshold solving needs a deterministic expected-EC evaluator; "
             "gaussianised curves are simulation averages"
         )
-    return metric_rectangle_lkcs(domain, model.cov.spectral_matrix(domain.dim))
+    dim = domain.dim
+    spectral = model.cov.spectral_matrix(dim)
+    values = np.zeros(dim + 1)
+    values[0] = 1.0
+    for k in range(1, dim + 1):
+        acc = 0.0
+        for subset in itertools.combinations(range(dim), k):
+            side_product = math.prod(domain.sides[a] for a in subset)
+            sub = spectral[np.ix_(subset, subset)]
+            acc += side_product * math.sqrt(np.linalg.det(sub))
+        values[k] = acc
+    return LKCVector(values)
 
 
 def _peak(model: FieldModel, lkcs: LKCVector) -> tuple[float, float]:

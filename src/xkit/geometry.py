@@ -29,7 +29,6 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import hermite_e
 from scipy import special
 
 __all__ = [
@@ -212,7 +211,10 @@ def hermite(n: int, x):
     """Probabilists' Hermite polynomial ``H_n(x)`` for ``n >= -1``.
 
     ``H_0 = 1``, ``H_1 = x``, ``H_2 = x^2 - 1``, and in general
-    ``H_(n+1)(x) = x H_n(x) - n H_(n-1)(x)``.  The index ``n = -1`` is the
+    ``H_(n+1)(x) = x H_n(x) - n H_(n-1)(x)``.  For ``n >= 0`` the values come
+    from one Clenshaw pass whose steps, in their order, are those of
+    ``numpy.polynomial.hermite_e.hermeval(x, [0]*n + [1])``, so they equal its
+    values bit for bit.  The index ``n = -1`` is the
     tail-based extension ``H_(-1)(x) = sqrt(2 pi) Psi(x) exp(x^2 / 2)``,
     which lets Gaussian Minkowski-functional formulas treat order zero on
     the same footing as the rest.
@@ -223,9 +225,26 @@ def hermite(n: int, x):
     if n == -1:
         out = math.sqrt(2.0 * math.pi) * gaussian_tail(x) * np.exp(0.5 * x * x)
     else:
-        out = hermite_e.hermeval(x, [0.0] * n + [1.0])
+        out = _hermite(n, x)
     out = np.asarray(out, dtype=float)
     return float(out) if scalar else out
+
+
+def _hermite(n: int, x):
+    """``H_n(x)``, ``n >= 0``, by the Clenshaw steps of ``hermeval(x, [0]*n + [1])``.
+
+    Each step is ``hermeval``'s own, zero terms included (``0.0 - c``, not ``-c``,
+    keeps the sign of a zero), so the values are its bits; the GMF hooks call
+    this directly, without :func:`hermite`'s checks.
+    """
+    if n == 0:
+        return 1.0 + 0 * x
+    if n == 1:
+        return 0.0 + 1.0 * x
+    c0, c1 = 0.0, 1.0
+    for nd in range(n, 1, -1):
+        c0, c1 = 0.0 - c1 * (nd - 1), c0 + c1 * x
+    return c0 + c1 * x
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +412,7 @@ def _gaussian_gmfs(z, max_order: int):
     """``[M_0, ..., M_J]`` of ``{f >= z}`` for a unit-variance Gaussian field."""
     z = np.asarray(z, dtype=float)
     density = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-    return [gaussian_tail(z)] + [hermite(j, z) * density for j in range(max_order)]
+    return [gaussian_tail(z)] + [_hermite(j, z) * density for j in range(max_order)]
 
 
 def _stirling_error(z: float) -> float:
@@ -413,7 +432,8 @@ def _chi2_gmfs(u, k: int, max_order: int):
     give ``M_(n+1) = p(r) sum_m (-1)^m binom(n, m) (k-1)!/(k-1-m)! r^(-m) H_(n-m)(r)``.
     ``p(r) r^(-top)``, ``top`` the largest ``m``, is one exponential per level, centred
     on ``u = k`` with Stirling's ``Gamma(k/2)``: it neither overflows nor loses digits
-    at large ``k``.  Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
+    at large ``k``.  Each ``H_j(r)`` and each power of ``r`` is built once per call.
+    Levels ``u <= 0`` get ``(1, 0, 0, ...)``.
     """
     u = np.asarray(u, dtype=float)
     inside = u > 0.0
@@ -423,12 +443,14 @@ def _chi2_gmfs(u, k: int, max_order: int):
     log_peak = -0.5 * top * math.log(k) - 0.5 * math.log(math.pi) - _stirling_error(k / 2.0)
     log_density = log_peak + special.xlog1py(0.5 * (k - 1 - top), (v - k) / k) - 0.5 * (v - k)
     density = np.exp(log_density) * inside
+    polys = [_hermite(n, r) for n in range(max_order)]
+    powers = [r ** (top - m) for m in range(top + 1)]
     gmfs = [chi2_tail(u, k)]
     for n in range(max_order):
         acc = np.zeros_like(r)
         for m in range(min(n, k - 1) + 1):
             coef = (-1) ** m * math.comb(n, m) * math.perm(k - 1, m)
-            acc = acc + coef * r ** (top - m) * hermite(n - m, r)
+            acc = acc + coef * powers[m] * polys[n - m]
         gmfs.append(density * acc)
     return gmfs
 

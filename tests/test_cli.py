@@ -459,6 +459,20 @@ def test_eec_gaussianised_needs_a_realisation(capsys):
         assert "sim_reps must be >= 1, got 0" in err
 
 
+def test_eec_sim_shape_is_checked_on_every_route(capsys):
+    # a closed form draws nothing, but a lattice that does not fit is refused
+    for model in ("gchisq:3", "gaussian"):
+        for shape, message in (("5", "sim_shape (5,) does not fit a 2-d domain"),
+                               ("17,1", "sim_shape (17, 1) does not fit a 2-d domain")):
+            code, stdout, err = run_cli(
+                ["eec", "--model", model, "--cube", "1", "--dim", "2", "--lambda2", "100",
+                 "--levels", "0:1:0.5", "--sim-shape", shape],
+                capsys,
+            )
+            assert (code, stdout) == (2, "")
+            assert message in err
+
+
 def test_chisq_large_degrees_of_freedom(capsys):
     domain = ["--model", "chisq:400", "--cube", "1", "--dim", "2", "--lambda2", "20"]
     code, stdout, _ = run_cli(["eec", *domain, "--levels=300:600:5"], capsys)
@@ -771,6 +785,21 @@ def test_config_error_paths(tmp_path, capsys):
     assert "key=value" in err
     assert run_cli(["--config", str(bad)], capsys)[0] == 2  # no subcommand
     assert run_cli(["eec", "--config"], capsys)[0] == 2  # dangling flag
+
+
+def test_config_line_with_an_empty_key_is_refused_by_file_and_line(tmp_path, capsys):
+    # "=x" would become the token --=x, which argparse calls ambiguous
+    cfg = tmp_path / "empty-key.cfg"
+    for line in ("=x", " = 0.05", "="):
+        cfg.write_text(f"# empty key\n{line}\n")
+        code, stdout, err = run_cli(
+            ["threshold", "--config", str(cfg), "--model", "gaussian", "--lambda2", "100",
+             "--cube", "1", "--dim", "2", "--alpha", "0.05"],
+            capsys,
+        )
+        assert (code, stdout) == (2, "")
+        assert f"{cfg}:2: expected key=value, got {line.strip()!r}" in err
+        assert "ambiguous" not in err
 
 
 def test_abbreviated_config_is_refused_unread(tmp_path, capsys):

@@ -699,6 +699,28 @@ def test_gaussianised_curve_refuses_a_bad_worker_count():
     assert expectations_mod._simulation_average.cache_info().misses == misses
 
 
+def test_a_sim_shape_is_checked_on_every_route():
+    # a closed form draws nothing, but a lattice it is given is held to the
+    # gaussianised curve's rule: whole entries, one per axis, each at least 2
+    gaussianised, rect = _tiny_gaussianised()
+    levels = np.array([-1.0, 0.0, 1.0])
+    curve = ECCurve(levels=levels, values=np.array([2.0, 1.0, 1.0]), kind="empirical",
+                    meta={"shape": "17x17"})
+    misses = expectations_mod._simulation_average.cache_info().misses
+    for model in (gaussianised, GaussianModel(cov=COV200)):
+        with pytest.raises(ValueError, match=r"^each sim_shape entry must be an integer, got 1\.5$"):
+            expected_ec_curve(model, rect, levels, sim_shape=(1.5,))
+        for shape in ((5,), (17, 1), (17, 17, 17)):
+            with pytest.raises(ValueError, match=r"does not fit a 2-d domain$"):
+                expected_ec_curve(model, rect, levels, sim_shape=shape)
+            with pytest.raises(ValueError, match=r"does not fit a 2-d domain$"):
+                identify_model(curve, [model], rect, sim_shape=shape, sim_reps=1)
+    assert expectations_mod._simulation_average.cache_info().misses == misses
+    # a closed-form candidate is handed the curve's own lattice, which fits
+    ranked = identify_model(curve, [GaussianModel(cov=COV200)], rect)
+    assert len(ranked) == 1 and math.isfinite(ranked[0][1])
+
+
 def test_expected_curve_refuses_non_integer_arguments_by_name():
     # a float order, repetition count or lattice size is refused, not truncated
     model, rect = _tiny_gaussianised()
@@ -1251,6 +1273,44 @@ def test_threshold_refuses_a_curve_that_flattens_above_alpha(k, domain):
     # constant (7.958 on the square, 50.66 on the cube) instead of 0
     with pytest.raises(NoSolutionError, match="never falls below alpha=0.05: it stops falling"):
         threshold(TFieldModel(k=k, cov=COV100), domain, 0.05)
+
+
+ANISO = np.array([[300.0, 50.0, 0.0], [50.0, 200.0, 20.0], [0.0, 20.0, 100.0]])
+CHI5 = ChiSquaredModel(k=5, cov=CovarianceModel(lambda2=20.0))
+# float.hex of u_star at alpha = 0.05 and the closed-form evaluations each solve
+# makes (one scan, the bracket and Brent's steps): the seven thresholds of the
+# calibrate benchmark, then a t and an F case.  Evaluating a level faster must
+# move neither a bit nor a Brent iterate.
+THRESHOLD_PINS = {
+    "gaussian 2-D": (GaussianModel(cov=COV200), SQUARE, "0x1.dd11d2e7fc51dp+1", 17),
+    "gaussian 3-D": (GaussianModel(cov=COV880), CUBE, "0x1.430cf1312fae5p+2", 19),
+    "anisotropic 3-D": (GaussianModel(CovarianceModel(matrix=ANISO)), CUBE,
+                        "0x1.20e6e08a09825p+2", 17),
+    "gaussian 2-D c=2": (GaussianModel(CovarianceModel(lambda2=50.0)), Rectangle((2.0, 2.0)),
+                         "0x1.dd11d2e7fc51ep+1", 17),
+    "gaussian 2-D c=10": (GaussianModel(CovarianceModel(lambda2=2.0)), Rectangle((10.0, 10.0)),
+                          "0x1.dd11d2e7fc51ep+1", 17),
+    "chisq:5 2-D": (CHI5, SQUARE, "0x1.5065a1442e8e7p+4", 20),
+    "chisq:5 3-D": (CHI5, CUBE, "0x1.a7369fa57a27dp+4", 17),
+    "t:5 3-D": (TFieldModel(k=5, cov=COV100), CUBE, "0x1.7c12696766015p+11", 29),
+    "f:3:9 3-D": (FFieldModel(n=3, m=9, cov=COV100), CUBE, "0x1.bdd67ede60f15p+6", 22),
+}
+
+
+@pytest.mark.parametrize("model, domain, u_hex, calls", THRESHOLD_PINS.values(),
+                         ids=THRESHOLD_PINS)
+def test_threshold_bits_and_evaluation_count_are_pinned(monkeypatch, model, domain, u_hex, calls):
+    made = []
+    closed_form = expectations_mod._closed_form
+
+    def counted(*args, **kwargs):
+        made.append(args[2].size)
+        return closed_form(*args, **kwargs)
+
+    monkeypatch.setattr(expectations_mod, "_closed_form", counted)
+    result = threshold(model, domain, 0.05)
+    assert (result.u_star.hex(), len(made)) == (u_hex, calls)
+    assert made[0] > 2000 and set(made[1:]) == {1}  # one scan, then one level a call
 
 
 def test_threshold_result_serialization():

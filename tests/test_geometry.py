@@ -68,6 +68,21 @@ def test_flag_coefficient_rejects_bad_indices():
         flag_coefficient(2, -1)
 
 
+def test_flag_coefficient_refuses_a_float_after_an_int_call():
+    # the kinematic sums read these through a cache of their own, so a call
+    # with equal whole indices leaves the public function's check in place
+    from xkit.expectations import expected_ec_curve
+    from xkit.fields import CovarianceModel, GaussianModel
+
+    assert flag_coefficient(2, 1) == pytest.approx(math.pi / 2.0, rel=1e-14)
+    expected_ec_curve(GaussianModel(CovarianceModel(lambda2=100.0)), Rectangle((1.0, 1.0)), [0.0])
+    for n, j in ((2.0, 1), (np.float64(2.0), 1)):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            flag_coefficient(n, j)
+    with pytest.raises(ValueError, match="j must be an integer"):
+        flag_coefficient(2, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Hermite polynomials
 # ---------------------------------------------------------------------------
@@ -110,6 +125,23 @@ def test_hermite_vectorised_matches_scalar():
 def test_hermite_rejects_below_minus_one():
     with pytest.raises(ValueError):
         hermite(-2, 0.0)
+
+
+def test_hermite_clenshaw_steps_give_hermevals_bits():
+    # the same steps in the same order as numpy's hermeval, so the same bits,
+    # signed zeros included, for 0-d, one-element and 2-d arguments
+    from numpy.polynomial import hermite_e
+
+    grid = np.array([[0.0, -0.0, 1.0, -1.0, 0.5], [-2.75, 3.3, 1e3, -1e3, -717.25]])
+    points = [np.array(0.0), np.array(-0.0), np.array(-4.2), np.array(1e3), np.array([-0.0]),
+              np.array([-37.5]), grid]
+    for n in range(21):
+        for x in points:
+            want = np.asarray(hermite_e.hermeval(x, [0.0] * n + [1.0]))
+            for got in (np.asarray(geometry_mod._hermite(n, x)), hermite(n, x)):
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), (n, x)
+        assert hermite(n, -0.0) == float(hermite_e.hermeval(-0.0, [0.0] * n + [1.0]))
 
 
 # ---------------------------------------------------------------------------
