@@ -27,10 +27,11 @@ axis, which zero-pads the cut width; the arithmetic is that of one
 
 Gaussian-derived fields (chi-square, Student-T, F, and
 probability-integral "gaussianised" transforms) are built pointwise from
-independent Gaussian components, one ``simulate_gaussian`` draw each:
-component ``i`` is the draw seeded ``component_seed(seed, i)``, so ``k``
-components cost ``k`` draws.  Each component is squared and added as soon as
-it is drawn, so memory does not grow with the component count.  Every
+independent Gaussian components as plain arrays: component ``i`` is the
+``simulate_gaussian`` field seeded ``component_seed(seed, i)``, so ``k``
+components cost ``k`` draws, and ``simulate_model`` checks the grid and wraps
+the combined field once.  Each component is squared and added as soon as it
+is drawn, so memory does not grow with the component count.  Every
 simulation is bit-reproducible from ``(model, shape, spacing, seed)``.
 """
 
@@ -137,8 +138,8 @@ def _unit_variance(cov: CovarianceModel) -> CovarianceModel:
     return cov if cov.variance == 1.0 else replace(cov, variance=1.0)
 
 
-# Each model class carries the facts that depend only on the model: how a field
-# is built from Gaussian components (``_simulate``) and, for a closed-form model,
+# Each model class carries the facts that depend only on the model: how a field's
+# values are built from Gaussian components (``_simulate``) and, for a closed-form model,
 # the (location, scale) of its marginal law for level scans (``_window``) and the
 # functionals ``[M_0, ..., M_J]`` of its hitting sets over levels (``_gmfs``).
 
@@ -158,8 +159,8 @@ class GaussianModel:
     def _gmfs(self, levels: np.ndarray, max_order: int):
         return _gaussian_gmfs(levels / math.sqrt(self.cov.variance), max_order)
 
-    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        return simulate_gaussian(self.cov, shape, spacing, seed)
+    def _simulate(self, shape, spacing: float, seed: int) -> np.ndarray:
+        return _draw(self.cov, shape, spacing, seed)
 
 
 @dataclass(frozen=True)
@@ -192,11 +193,9 @@ class ChiSquaredModel:
         raw = self.k + levels * math.sqrt(2.0 * self.k) if self.standardized else levels
         return _chi2_gmfs(raw, self.k, max_order)
 
-    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+    def _simulate(self, shape, spacing: float, seed: int) -> np.ndarray:
         values = _sum_of_squares(self.cov, range(self.k), shape, spacing, seed)
-        if self.standardized:
-            values = (values - self.k) / math.sqrt(2.0 * self.k)
-        return LatticeField(values=values, spacing=spacing)
+        return (values - self.k) / math.sqrt(2.0 * self.k) if self.standardized else values
 
 
 @dataclass(frozen=True)
@@ -221,13 +220,13 @@ class TFieldModel:
     def _gmfs(self, levels: np.ndarray, max_order: int):
         return _t_gmfs(levels, self.k - 1, max_order)
 
-    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        first = simulate_gaussian(self.cov, shape, spacing, component_seed(seed, 0)).values
+    def _simulate(self, shape, spacing: float, seed: int) -> np.ndarray:
+        # scaled at once, so the draw's torus-wide buffer is freed before the others are drawn
+        first = _draw(self.cov, shape, spacing, component_seed(seed, 0)) * math.sqrt(self.k - 1.0)
         denom = _sum_of_squares(self.cov, range(1, self.k), shape, spacing, seed)
         if np.any(denom == 0.0):
             raise SimulationError("T-field denominator vanished at a grid site")
-        values = first * math.sqrt(self.k - 1.0) / np.sqrt(denom)
-        return LatticeField(values=values, spacing=spacing)
+        return first / np.sqrt(denom)
 
 
 @dataclass(frozen=True)
@@ -257,13 +256,12 @@ class FFieldModel:
     def _gmfs(self, levels: np.ndarray, max_order: int):
         return _f_gmfs(levels, self.n, self.m, max_order)
 
-    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
+    def _simulate(self, shape, spacing: float, seed: int) -> np.ndarray:
         num = _sum_of_squares(self.cov, range(self.n), shape, spacing, seed)
         den = _sum_of_squares(self.cov, range(self.n, self.n + self.m), shape, spacing, seed)
         if np.any(den == 0.0):
             raise SimulationError("F-field denominator vanished at a grid site")
-        values = (self.m * num) / (self.n * den)
-        return LatticeField(values=values, spacing=spacing)
+        return (self.m * num) / (self.n * den)
 
 
 @dataclass(frozen=True)
@@ -299,14 +297,11 @@ class GaussianisedModel:
         base = self.base
         return base.k if isinstance(base, ChiSquaredModel) and not base.standardized else None
 
-    def _simulate(self, shape, spacing: float, seed: int) -> LatticeField:
-        base, k = simulate_model(self.base, shape, spacing, seed), self._chi2_k
-        return gaussianise(base, mode="empirical" if k is None else "exact-chi2", k=k)
+    def _simulate(self, shape, spacing: float, seed: int) -> np.ndarray:
+        return _normal_scores(self.base._simulate(shape, spacing, seed), self._chi2_k)
 
 
-FieldModel = (
-    GaussianModel | ChiSquaredModel | TFieldModel | FFieldModel | GaussianisedModel
-)
+FieldModel = GaussianModel | ChiSquaredModel | TFieldModel | FFieldModel | GaussianisedModel
 
 
 # ---------------------------------------------------------------------------
@@ -449,6 +444,12 @@ def simulate_gaussian(
     much shorter than six correlation lengths per axis triggers a warning
     because empirical statistics then mix poorly.
     """
+    shape, spacing, seed = _check_grid(cov, shape, spacing, seed)
+    return LatticeField(values=_draw(cov, shape, spacing, seed), spacing=spacing)
+
+
+def _check_grid(cov: CovarianceModel, shape, spacing, seed):
+    """The checked ``(shape, spacing, seed)`` of a grid that resolves ``cov``."""
     shape = tuple(_whole(n, "each grid size", least=1) for n in shape)
     if not shape:
         raise ValueError("grid shape must have at least one axis")
@@ -470,8 +471,13 @@ def simulate_gaussian(
                 f"grid extent {(n - 1) * spacing:.4g} on axis {axis} is below six "
                 f"correlation lengths ({6.0 / scale:.4g}); spatial averages will "
                 "be noisy",
-                stacklevel=2,
+                stacklevel=3,  # each public sampler calls this itself: name its caller
             )
+    return shape, spacing, seed
+
+
+def _draw(cov: CovarianceModel, shape: tuple[int, ...], spacing: float, seed: int) -> np.ndarray:
+    """The values of :func:`simulate_gaussian`'s field on a checked grid."""
     sizes, width, kept, amplitude = _amplitude(cov, shape, spacing)
     normals = np.random.default_rng(seed).standard_normal((kept.size, 2))
     normals *= amplitude[:, None]
@@ -481,8 +487,7 @@ def simulate_gaussian(
     for axis, n in enumerate(shape[:-1]):
         sample = sp_fft.ifft(sample, axis=axis, norm="forward", overwrite_x=True)
         sample = sample[(slice(None),) * axis + (slice(0, n),)]
-    values = sp_fft.irfft(sample, n=sizes[-1], norm="forward")[..., : shape[-1]]
-    return LatticeField(values=values, spacing=spacing)
+    return sp_fft.irfft(sample, n=sizes[-1], norm="forward")[..., : shape[-1]]
 
 
 def component_seed(seed: int, index: int) -> int:
@@ -499,14 +504,7 @@ def component_seed(seed: int, index: int) -> int:
 
 def _sum_of_squares(cov: CovarianceModel, indices, shape, spacing: float, seed: int) -> np.ndarray:
     """Sum of squares of components ``indices``, each added as soon as it is drawn."""
-
-    def square(i):  # returns only the square, so each component is freed at once
-        return np.square(simulate_gaussian(cov, shape, spacing, component_seed(seed, i)).values)
-
-    total = square(indices[0])
-    for i in indices[1:]:
-        total += square(i)
-    return total
+    return sum(np.square(_draw(cov, shape, spacing, component_seed(seed, i))) for i in indices)
 
 
 def simulate_model(
@@ -514,14 +512,15 @@ def simulate_model(
 ) -> LatticeField:
     """Simulate a Gaussian or Gaussian-derived field model.
 
-    Component fields are iid unit-variance Gaussians, one draw each:
-    component ``i`` is the draw seeded ``component_seed(seed, i)``, so a
-    model on ``k`` components costs ``k`` draws, and e.g. a chi-square field
-    equals the pointwise sum of squares of its components exactly, not just
-    in distribution.  A Gaussian model is the draw seeded ``seed`` itself,
-    as in :func:`simulate_gaussian`.
+    Component fields are iid unit-variance Gaussians, one draw each: component ``i`` is
+    the draw seeded ``component_seed(seed, i)``, so a model on ``k`` components costs ``k``
+    draws, and e.g. a chi-square field equals the pointwise sum of squares of its
+    components exactly, not just in distribution.  A Gaussian model is the draw seeded
+    ``seed`` itself, as in :func:`simulate_gaussian`, whose grid rules are checked once
+    per field: a short axis warns once, naming the caller.
     """
-    return model._simulate(shape, spacing, seed)
+    shape, spacing, seed = _check_grid(model.cov, shape, spacing, seed)
+    return LatticeField(values=model._simulate(shape, spacing, seed), spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -546,23 +545,24 @@ def gaussianise(field: LatticeField, mode: str = "empirical", k: int | None = No
     the same excursion sets as one counted on the scores, up to the rounding
     of one pulled level per level.
     """
-    values = field.values
-    if mode == "empirical":
-        if values.size < 100:
-            raise ValueError(
-                f"empirical gaussianisation needs >= 100 samples, got {values.size}"
-            )
-        if np.min(values) == np.max(values):
-            raise ValueError("cannot gaussianise a constant field (degenerate CDF)")
-        from scipy import stats  # imported on first use: it is slow to load
+    if mode not in ("empirical", "exact-chi2"):
+        raise ValueError(f"unknown gaussianisation mode {mode!r}")
+    k = None if mode == "empirical" else _whole(k, "degrees of freedom", least=1)
+    return LatticeField(values=_normal_scores(field.values, k), spacing=field.spacing)
 
-        ranks = stats.rankdata(values, method="average").reshape(values.shape)
-        grid = special.ndtri(ranks / (values.size + 1))
-        return LatticeField(values=grid, spacing=field.spacing)
-    if mode == "exact-chi2":
-        k = _whole(k, "degrees of freedom", least=1)
-        return LatticeField(values=_chi2_scores(values, k), spacing=field.spacing)
-    raise ValueError(f"unknown gaussianisation mode {mode!r}")
+
+def _normal_scores(values: np.ndarray, k: int | None) -> np.ndarray:
+    """:func:`gaussianise`'s values: exact chi-square(``k``) or, if ``k`` is None, empirical."""
+    if k is not None:
+        return _chi2_scores(values, k)
+    if values.size < 100:
+        raise ValueError(f"empirical gaussianisation needs >= 100 samples, got {values.size}")
+    if np.min(values) == np.max(values):
+        raise ValueError("cannot gaussianise a constant field (degenerate CDF)")
+    from scipy import stats  # imported on first use: it is slow to load
+
+    ranks = stats.rankdata(values, method="average").reshape(values.shape)
+    return special.ndtri(ranks / (values.size + 1))
 
 
 def estimate_spectral_moments(field: LatticeField) -> tuple[np.ndarray, float]:

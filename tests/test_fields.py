@@ -543,16 +543,17 @@ def test_chi_square_is_exact_sum_of_component_squares():
 
 
 def test_every_component_is_one_simulate_gaussian_draw(monkeypatch):
-    # Component i is a simulate_gaussian call seeded component_seed(seed, i),
-    # in index order; a Gaussian model is the draw seeded seed itself.
+    # Component i is simulate_gaussian's draw seeded component_seed(seed, i),
+    # in index order; a Gaussian model is the draw seeded seed itself.  Models
+    # call that draw without its grid check and wrapper, so it is counted there.
     seeds = []
-    draw = fields_mod.simulate_gaussian
+    draw = fields_mod._draw
 
     def counting(cov, shape, spacing, seed):
         seeds.append(seed)
         return draw(cov, shape, spacing, seed)
 
-    monkeypatch.setattr(fields_mod, "simulate_gaussian", counting)
+    monkeypatch.setattr(fields_mod, "_draw", counting)
     cases = [
         (ChiSquaredModel(k=5, cov=COV20), 5),
         (ChiSquaredModel(k=5, cov=COV20, standardized=True), 5),
@@ -631,16 +632,53 @@ def test_f_field_median_and_marginals():
 
 
 def test_ratio_denominator_guard(monkeypatch):
-    shape = (4, 4)
+    # every component draw is all zeros on a grid that passes the checks, so
+    # only the guards can refuse it
+    monkeypatch.setattr(fields_mod, "_draw", lambda cov, shape, spacing, seed: np.zeros(shape))
+    with pytest.raises(SimulationError, match="T-field denominator vanished"):
+        simulate_model(TFieldModel(k=3, cov=COV20), (32, 32), 0.05, seed=1)
+    with pytest.raises(SimulationError, match="F-field denominator vanished"):
+        simulate_model(FFieldModel(n=1, m=2, cov=COV20), (32, 32), 0.05, seed=1)
 
-    def zeros(cov, shape, spacing, seed):
-        return LatticeField(values=np.zeros(shape), spacing=spacing)
 
-    monkeypatch.setattr(fields_mod, "simulate_gaussian", zeros)
-    with pytest.raises(SimulationError):
-        simulate_model(TFieldModel(k=3, cov=COV20), shape, 0.05, seed=1)
-    with pytest.raises(SimulationError):
-        simulate_model(FFieldModel(n=1, m=2, cov=COV20), shape, 0.05, seed=1)
+def test_a_short_grid_warns_once_per_axis_naming_the_caller():
+    # The grid is checked once per field, not once per component, and the
+    # warning names the line that called simulate_model.
+    smooth = CovarianceModel(lambda2=4.0)  # extent 1.5 < 6 correlation lengths 3 on each axis
+    models = (
+        GaussianModel(smooth),
+        ChiSquaredModel(k=3, cov=smooth),
+        TFieldModel(k=3, cov=smooth),
+        FFieldModel(n=1, m=2, cov=smooth),
+        GaussianisedModel(ChiSquaredModel(k=3, cov=smooth)),
+    )
+    for model in models:
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            simulate_model(model, (16, 16), 0.1, 2)
+        heads = [str(w.message).split(" is below")[0] for w in record]
+        assert heads == ["grid extent 1.5 on axis 0", "grid extent 1.5 on axis 1"], model
+        assert [w.filename for w in record] == [__file__] * 2, model
+
+
+def test_a_model_draw_checks_its_grid_once_and_wraps_once(monkeypatch):
+    # components are plain arrays: only the combined field is a LatticeField
+    checks, wraps = [], []
+    check = fields_mod._check_grid
+
+    class Counted(LatticeField):
+        def __post_init__(self):
+            wraps.append(self.values.shape)
+            super().__post_init__()
+
+    monkeypatch.setattr(fields_mod, "_check_grid", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(fields_mod, "LatticeField", Counted)
+    for model in (ChiSquaredModel(k=5, cov=COV20), FFieldModel(n=2, m=3, cov=COV20),
+                  GaussianisedModel(ChiSquaredModel(k=5, cov=COV20))):
+        checks.clear()
+        wraps.clear()
+        field = simulate_model(model, (32, 32), 0.05, seed=8)
+        assert (len(checks), wraps, type(field)) == (1, [(32, 32)], Counted), model
 
 
 def test_gaussianised_model_marginals_and_rank_preservation():
