@@ -241,6 +241,9 @@ def cmd_threshold(args) -> int:
     domain = _domain_from_args(args)
     model = parse_model(args.model, _covariance_from_args(args))
     result = threshold(model, domain, args.alpha)
+    if args.json is not None:  # written first, so a refused path prints nothing
+        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(result.as_dict(), indent=2) + "\n")
     sys.stdout.write(_meta_text([
         ("model", args.model),
         ("domain", "x".join(repr(s) for s in domain.sides)),
@@ -248,9 +251,6 @@ def cmd_threshold(args) -> int:
         ("variance", repr(model.cov.variance)),
     ]))
     sys.stdout.write(result.as_text())
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(json.dumps(result.as_dict(), indent=2) + "\n")
     return 0
 
 

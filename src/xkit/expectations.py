@@ -46,7 +46,7 @@ from .fields import (
     simulate_model,
 )
 from .geometry import CapabilityError, GMFSeries, LKCVector, Rectangle, flag_coefficient
-from .geometry import _check_dim, _check_levels, _chi2_quantiles
+from .geometry import _check_dim, _check_levels, _check_spectral_matrix, _chi2_quantiles
 from .geometry import _chi2_scores, _finite_levels, _gaussian_gmfs, _positive, _whole
 from .topology import ECCurve, _ec_at
 
@@ -146,7 +146,7 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
     ``L_k = sum over axis subsets S of size k of prod(T_i, i in S) *
     sqrt(det Lambda_S)`` with ``Lambda_S`` the principal submatrix on S.
     For ``Lambda = lambda2 * I`` this reduces to ``lambda2^(k/2)`` times the
-    ordinary rectangle curvatures.
+    ordinary rectangle curvatures.  It and every closed form read ``Rectangle._metric_lkcs``.
     """
     dim = rect.dim
     if np.shape(spectral) != (dim, dim):
@@ -154,7 +154,7 @@ def metric_rectangle_lkcs(rect: Rectangle, spectral: np.ndarray) -> LKCVector:
             f"spectral matrix shape {np.shape(spectral)} does not match a "
             f"{dim}-dimensional rectangle"
         )
-    return _metric_lkcs(GaussianModel(CovarianceModel(matrix=spectral)), rect)
+    return rect._metric_lkcs(_check_spectral_matrix(spectral))
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +403,8 @@ def expected_ec_curve(
 # ---------------------------------------------------------------------------
 
 def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
-    """The domain's Lipschitz-Killing curvatures in the metric of the model's field
-    (see :func:`metric_rectangle_lkcs`).
+    """The domain's Lipschitz-Killing curvatures in the metric of the model's field,
+    measured by ``Rectangle._metric_lkcs`` (see :func:`metric_rectangle_lkcs`).
 
     The model's spectral matrix was checked when the model was made, so it is
     not checked again.  A gaussianised field's metric is not that of its base's
@@ -416,18 +416,7 @@ def _metric_lkcs(model: FieldModel, domain: Rectangle) -> LKCVector:
             "threshold solving needs a deterministic expected-EC evaluator; "
             "gaussianised curves are simulation averages"
         )
-    dim = domain.dim
-    spectral = model.cov.spectral_matrix(dim)
-    values = np.zeros(dim + 1)
-    values[0] = 1.0
-    for k in range(1, dim + 1):
-        acc = 0.0
-        for subset in itertools.combinations(range(dim), k):
-            side_product = math.prod(domain.sides[a] for a in subset)
-            sub = spectral[np.ix_(subset, subset)]
-            acc += side_product * math.sqrt(np.linalg.det(sub))
-        values[k] = acc
-    return LKCVector(values)
+    return domain._metric_lkcs(model.cov.spectral_matrix(domain.dim))
 
 
 def _peak(model: FieldModel, lkcs: LKCVector) -> tuple[float, float]:

@@ -7,7 +7,7 @@ quantities that every expected-topology formula is built from:
   extension built from the Gaussian tail),
 * volumes of unit balls and flag coefficients,
 * Lipschitz-Killing curvatures (intrinsic volumes) of axis-aligned
-  rectangles, together with the Steiner tube-volume expansion,
+  rectangles in any field's metric, with the Steiner tube-volume expansion,
 * Gaussian Minkowski functionals (GMFs) ``[M_0, ..., M_J]`` of the hitting
   sets of the Gaussian, chi-square, Student-t and F marginals (the Taylor
   coefficients of the Gaussian measure of their tubes) over arrays of
@@ -24,6 +24,7 @@ scores ``_chi2_scores`` and their inverse ``_chi2_quantiles``, and :class:`Capab
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -217,15 +218,12 @@ def hermite(n: int, x):
     values bit for bit.  The index ``n = -1`` is the
     tail-based extension ``H_(-1)(x) = sqrt(2 pi) Psi(x) exp(x^2 / 2)``,
     which lets Gaussian Minkowski-functional formulas treat order zero on
-    the same footing as the rest.
+    the same footing as the rest; it is ``sqrt(pi / 2) erfcx(x / sqrt(2))``.
     """
     n = _whole(n, "Hermite index", least=-1)
     scalar = np.isscalar(x)
     x = np.asarray(x, dtype=float)
-    if n == -1:
-        out = math.sqrt(2.0 * math.pi) * gaussian_tail(x) * np.exp(0.5 * x * x)
-    else:
-        out = _hermite(n, x)
+    out = _hermite(n, x) if n >= 0 else math.sqrt(math.pi / 2) * special.erfcx(x / math.sqrt(2))
     out = np.asarray(out, dtype=float)
     return float(out) if scalar else out
 
@@ -270,6 +268,20 @@ class Rectangle:
     @classmethod
     def cube(cls, side: float, dim: int) -> "Rectangle":
         return cls((side,) * _whole(dim, "dim"))
+
+    def _metric_lkcs(self, spectral: np.ndarray) -> "LKCVector":
+        """``(L_0, ..., L_N)`` in the metric of a checked ``N x N`` spectral matrix (see
+        ``metric_rectangle_lkcs``); every curvature of a rectangle in xkit is read here."""
+        values = [1.0]
+        with np.errstate(over="ignore"):  # LKCVector refuses an overflowed curvature
+            for k in range(1, self.dim + 1):
+                acc = 0.0
+                for subset in itertools.combinations(range(self.dim), k):
+                    side_product = math.prod(self.sides[a] for a in subset)
+                    sub = spectral[np.ix_(subset, subset)]
+                    acc += side_product * math.sqrt(np.linalg.det(sub))
+                values.append(acc)
+        return LKCVector(values)
 
 
 @dataclass(frozen=True)
@@ -345,13 +357,9 @@ def rectangle_lkcs(rect: Rectangle) -> LKCVector:
     symmetric polynomial ``e_j(T_1, ..., T_N)``: the total j-volume of the
     j-faces containing the origin.  In particular ``L_0 = 1`` (Euler
     characteristic), ``L_1 = sum T_i`` (half the boundary measure scaled),
-    and ``L_N`` is the volume.
+    and ``L_N`` is the volume.  They are ``Rectangle._metric_lkcs`` in the identity metric.
     """
-    # np.poly builds prod (x - T_i) whose coefficients alternate in sign
-    # with the elementary symmetric polynomials.
-    coeffs = np.poly(np.asarray(rect.sides, dtype=float))
-    signs = (-1.0) ** np.arange(rect.dim + 1)
-    return LKCVector(signs * coeffs)
+    return rect._metric_lkcs(np.eye(rect.dim))
 
 
 def tube_volume_rectangle(rect: Rectangle, rho: float) -> float:
@@ -505,7 +513,8 @@ def _f_gmfs(u, n: int, m: int, max_order: int):
     x = n * v / m
     a, b = n / 2.0, m / 2.0
     s = a + b
-    log_t = np.where(v < 0.5, np.log((v + x) / (1.0 + x)), np.log1p((v - 1.0) / (1.0 + x)))
+    log_t = np.log1p((np.maximum(v, 0.5) - 1.0) / (1.0 + x))  # no log1p(-1) at tiny levels
+    log_t = np.where(v < 0.5, np.log((v + x) / (1.0 + x)), log_t)
     log_1mt = -np.log1p(n * (v - 1.0) / (n + m))
     q = (
         (1.0,),

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -407,6 +408,18 @@ def test_eec_beyond_closed_form_order_is_capability_error(capsys):
     assert "order 3" in err
 
 
+@pytest.mark.parametrize("model, lambda2, cube, dim, levels, want", [
+    ("gaussian", "1e308", "1e10", "3", "--levels=0:1:0.5", 2),  # an overflowed curvature
+    ("f:3:5", "100", "1", "2", "--levels=1e-17:1:0.5", 0),  # a level below machine epsilon
+])
+def test_eec_exits_without_a_runtime_warning(capsys, model, lambda2, cube, dim, levels, want):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["eec", "--model", model, "--lambda2", lambda2, "--cube", cube,
+                                "--dim", dim, levels], capsys)
+    assert code == want and "encountered" not in err
+
+
 def test_eec_order_flag_emits_curvature(capsys):
     code, stdout, _ = run_cli(
         ["eec", "--model", "gaussian", "--cube", "1", "--dim", "2",
@@ -546,6 +559,15 @@ def test_threshold_reproduces_bisection_value(tmp_path, capsys):
     record = json.loads(out.read_text())
     assert record["u_star"] == float(text["u_star"])
     assert record["alpha"] == 0.05
+
+
+def test_threshold_unwritable_json_prints_nothing(tmp_path, capsys):
+    code, stdout, _ = run_cli(
+        ["threshold", "--model", "gaussian", "--cube", "1", "--dim", "2", "--lambda2", "100",
+         "--alpha", "0.05", "--json", str(tmp_path / "missing" / "t.json")],
+        capsys,
+    )
+    assert (code, stdout) == (3, "")
 
 
 def test_threshold_alpha_ordering(capsys):

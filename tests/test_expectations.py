@@ -296,6 +296,15 @@ def test_metric_lkcs_input_validation():
         metric_rectangle_lkcs(SQUARE, lopsided)
     with pytest.raises(ValueError, match="positive definite"):
         expected_ec_stationary_rectangle(SQUARE, np.diag([1.0, -2.0]), 0.0)
+    with pytest.raises(ValueError, match="positive definite"):
+        metric_rectangle_lkcs(SQUARE, np.diag([1.0, -2.0]))
+
+
+def test_an_overflowed_metric_curvature_is_refused_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            metric_rectangle_lkcs(Rectangle((1e10,) * 3), 1e308 * np.eye(3))
 
 
 def test_variance_rescaling_equivalence():

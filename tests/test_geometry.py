@@ -14,6 +14,7 @@ The chi-square functionals follow the tube definition.  The hitting set
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -103,6 +104,19 @@ def test_hermite_minus_one_matches_tail_identity():
         assert hermite(-1, x) == pytest.approx(ref, rel=1e-13)
 
 
+def test_hermite_minus_one_far_in_the_tail():
+    # Psi(x) exp(x^2 / 2) was 0 * inf = NaN from about x = 38; the true value is about 1/x
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        for x in (38.0, 40.0, 1e3):
+            want = mpmath.sqrt(2 * mpmath.pi) * mpmath.ncdf(-x) * mpmath.exp(x * x / 2)
+            assert hermite(-1, x) == pytest.approx(float(want), rel=1e-14)
+    assert hermite(-1, 40.0) == pytest.approx(0.0249844, rel=1e-6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert hermite(-1, -40.0) == math.inf  # about 1e348, past the largest double
+
+
 def test_hermite_three_term_recurrence():
     # H_{n+1}(x) = x H_n(x) - n H_{n-1}(x), relative tolerance 1e-12 against
     # the magnitude of the terms entering the recurrence.
@@ -178,6 +192,9 @@ def test_rectangle_lkcs_are_elementary_symmetric():
         assert lkcs[0] == pytest.approx(1.0, rel=1e-12)
         assert lkcs[1] == pytest.approx(sides.sum(), rel=1e-12)
         assert lkcs[dim] == pytest.approx(np.prod(sides), rel=1e-12)
+        # the coefficients of prod (x - T_i) alternate in sign with e_k(T)
+        oracle = (-1.0) ** np.arange(dim + 1) * np.poly(sides)
+        np.testing.assert_allclose(lkcs.values, oracle, rtol=1e-14, atol=0)
 
 
 def test_lkc_scaling_homogeneity():
@@ -403,6 +420,20 @@ def test_f_gmfs_match_50_digit_mpmath_at_large_degrees_of_freedom():
                 want = np.array([float(_mp_f_gmf(u, n, m, j, mpmath)) for u in levels])
                 err = np.max(np.abs(got[j] - want)) / np.max(np.abs(want))
                 assert err < 1e-13, (n, m, j, err)
+
+
+def test_f_gmfs_at_levels_below_machine_epsilon_are_right_and_quiet():
+    # log1p((u - 1) / (1 + x)) is log1p(-1) below u ~ 1e-16, where only the other branch is used
+    mpmath = pytest.importorskip("mpmath")
+    levels = np.array([1e-300, 1e-17, 1e-10])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = geometry_mod._f_gmfs(levels, 3, 5, 3)
+    with mpmath.workdps(50):
+        for j in (1, 2, 3):
+            want = np.array([float(_mp_f_gmf(u, 3, 5, j, mpmath)) for u in levels])
+            # exp of a log near -690 at 1e-300 carries about 690 ulps
+            np.testing.assert_allclose(got[j], want, rtol=1e-12)
 
 
 def _mp_t_gmf(t, nu: int, j: int, mp):
